@@ -249,7 +249,8 @@ fn net(json_path: Option<&str>) {
     println!("{}", table.render());
     println!(
         "NET-THROUGHPUT: {:.0} tps ({:.0} tpm) over {} connections; \
-         {} submitted / {} resolved / {} unmatched; server saw {} requests",
+         {} submitted / {} resolved / {} unmatched; server saw {} requests, \
+         wrote {} responses in {} flushes",
         report.throughput_tps(),
         report.tpm(),
         report.connections,
@@ -257,6 +258,8 @@ fn net(json_path: Option<&str>) {
         report.resolved_total,
         report.unmatched_total,
         stats.requests,
+        stats.responses,
+        stats.response_flushes,
     );
     assert!(
         report.is_lossless(),

@@ -2,9 +2,11 @@
 //!
 //! Counterpart of `gputx-server`: a [`Client`] owns one connection speaking
 //! the length-framed binary protocol of `gputx_server::proto` and keeps many
-//! submits in flight at once. [`Client::submit`] writes a frame and returns a
-//! [`Reply`] immediately; a background reader thread demultiplexes response
-//! frames back to their replies by `request_id`. That mirrors the pipeline's
+//! submits in flight at once. [`Client::submit`] writes a frame (or, behind an
+//! unanswered request, appends it to the connection's write buffer) and
+//! returns a [`Reply`] immediately; a background reader thread demultiplexes
+//! response frames back to their replies by `request_id`, flushing the write
+//! buffer as answers arrive. That mirrors the pipeline's
 //! own shape — transactions resolve asynchronously when their bulk commits,
 //! so a client that waited for each reply before sending the next would
 //! serialize the wire onto bulk-commit latency and never fill a bulk.
@@ -43,18 +45,17 @@
 pub mod bench_run;
 
 use gputx_server::proto::{
-    decode_response, encode_request, read_frame, write_frame, FrameError, Request, Response,
-    MAX_FRAME_LEN,
+    decode_response, encode_request, read_frame, FrameError, Request, Response, MAX_FRAME_LEN,
 };
-use gputx_server::Duplex;
+use gputx_server::{Duplex, FrameReader, FrameWriter, RESPONSE_QUEUE_DEPTH};
 use gputx_storage::Value;
 use gputx_txn::{TxnId, TxnTypeId};
 use std::collections::HashMap;
 use std::io;
 use std::io::Read;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, TryLockError, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -166,6 +167,9 @@ impl ReplySlot {
 pub struct Reply {
     slot: Arc<ReplySlot>,
     request_id: u64,
+    /// The connection's write buffer, which may still hold this request's
+    /// frame: waiting on an unresolved reply flushes it.
+    outbox: Weak<Outbox>,
 }
 
 impl Reply {
@@ -175,8 +179,12 @@ impl Reply {
     }
 
     /// Block until the response arrives. Repeatable; later calls return
-    /// immediately.
+    /// immediately. Flushes the connection's buffered frames first, so the
+    /// awaited request is on the wire.
     pub fn wait(&self) -> ReplyResult {
+        if let Some(result) = self.try_get() {
+            return result;
+        }
         let mut slot = self.slot.slot.lock().expect("reply slot poisoned");
         while slot.is_none() {
             slot = self.slot.cond.wait(slot).expect("reply slot poisoned");
@@ -184,9 +192,17 @@ impl Reply {
         slot.clone().expect("checked above")
     }
 
-    /// Non-blocking poll: `None` while the response is still in flight.
+    /// Non-blocking poll: `None` while the response is still in flight (in
+    /// which case the connection's buffered frames are flushed, so polling
+    /// alone makes progress).
     pub fn try_get(&self) -> Option<ReplyResult> {
-        self.slot.slot.lock().expect("reply slot poisoned").clone()
+        let result = self.slot.slot.lock().expect("reply slot poisoned").clone();
+        if result.is_none() {
+            if let Some(outbox) = self.outbox.upgrade() {
+                outbox.flush_soon();
+            }
+        }
+        result
     }
 }
 
@@ -222,11 +238,80 @@ impl Demux {
     }
 }
 
-/// One reconnect generation: a stream, its writer handle, its demux and its
+/// A connection's write side. Request frames coalesce in `frames`; a flush
+/// owed while another thread holds the writer is left in `flush_owed` for
+/// that holder to pay on release, so the reader thread never blocks on a
+/// writer stuck in a full socket (which would stop it draining responses,
+/// and with them the server that the stuck write waits on).
+struct Outbox {
+    frames: Mutex<FrameWriter>,
+    flush_owed: AtomicBool,
+    /// Shut down on a failed flush, so the reader exits and resolves every
+    /// pending reply instead of waiting for answers that cannot come.
+    /// (Behind a lock only because `Duplex` is not `Sync`.)
+    stream: Mutex<Box<dyn Duplex>>,
+    demux: Arc<Demux>,
+    /// Client-wide count of transport writes that carried request frames.
+    flushes: Arc<AtomicU64>,
+}
+
+impl Outbox {
+    fn shutdown(&self) {
+        let _ = self.stream.lock().expect("stream poisoned").shutdown_both();
+    }
+
+    /// Run `f` on the locked writer, then pay any flush owed meanwhile.
+    fn with_frames<R>(&self, f: impl FnOnce(&mut FrameWriter) -> R) -> R {
+        let result = f(&mut self.frames.lock().expect("writer poisoned"));
+        // Pairs with the fence in `flush_soon`: either its `try_lock` saw
+        // the writer free, or this load sees the flush it left owed.
+        fence(Ordering::SeqCst);
+        if self.flush_owed.load(Ordering::SeqCst) {
+            self.flush_soon();
+        }
+        result
+    }
+
+    /// Flush the buffered frames now, or, if another thread holds the
+    /// writer, leave the flush owed to it. Never blocks on the writer lock.
+    fn flush_soon(&self) {
+        self.flush_owed.store(true, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        while self.flush_owed.load(Ordering::SeqCst) {
+            let mut frames = match self.frames.try_lock() {
+                Ok(frames) => frames,
+                Err(TryLockError::WouldBlock) | Err(TryLockError::Poisoned(_)) => return,
+            };
+            self.flush_owed.store(false, Ordering::SeqCst);
+            let flushed = frames.flush();
+            let _ = self.settle(flushed);
+            drop(frames);
+            fence(Ordering::SeqCst);
+        }
+    }
+
+    /// Account for a flush: count it, or kill the connection if it failed
+    /// (part of the buffer may be on the wire, so framing is lost).
+    fn settle(&self, flushed: io::Result<usize>) -> io::Result<()> {
+        match flushed {
+            Ok(0) => Ok(()),
+            Ok(_) => {
+                self.flushes.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            }
+            Err(e) => {
+                self.demux.dead.store(true, Ordering::Release);
+                self.shutdown();
+                Err(e)
+            }
+        }
+    }
+}
+
+/// One reconnect generation: a stream, its write buffer, its demux and its
 /// reader thread. Torn down as a unit when the connection dies.
 struct Conn {
-    writer: Mutex<Box<dyn Duplex>>,
-    stream: Box<dyn Duplex>,
+    outbox: Arc<Outbox>,
     demux: Arc<Demux>,
     reader: Option<JoinHandle<()>>,
 }
@@ -237,29 +322,46 @@ impl Conn {
         config: &ClientConfig,
         closing: &Arc<AtomicBool>,
         unmatched: &Arc<AtomicU64>,
+        flushes: &Arc<AtomicU64>,
     ) -> io::Result<Conn> {
         stream.set_read_timeout(config.read_timeout)?;
-        let read_half = stream.try_clone_box()?;
-        let write_half = stream.try_clone_box()?;
+        let (read_half, write_half) = stream.buffered_halves()?;
         let demux = Demux::new(Arc::clone(unmatched), config.reconnect.is_some());
+        let outbox = Arc::new(Outbox {
+            frames: Mutex::new(write_half),
+            flush_owed: AtomicBool::new(false),
+            stream: Mutex::new(stream),
+            demux: Arc::clone(&demux),
+            flushes: Arc::clone(flushes),
+        });
         let reader = {
-            let demux = Arc::clone(&demux);
+            let outbox = Arc::clone(&outbox);
             let closing = Arc::clone(closing);
             std::thread::Builder::new()
                 .name("gputx-client-reader".into())
-                .spawn(move || reader_loop(read_half, &demux, &closing))
+                .spawn(move || reader_loop(read_half, &outbox, &closing))
                 .map_err(io::Error::other)?
         };
         Ok(Conn {
-            writer: Mutex::new(write_half),
-            stream,
+            outbox,
             demux,
             reader: Some(reader),
         })
     }
 
+    /// Send what is still buffered (a live connection only: frames left on
+    /// a dead one were already resolved by its reader), then close.
     fn teardown(&mut self) {
-        let _ = self.stream.shutdown_both();
+        if !self.demux.dead.load(Ordering::Acquire) {
+            // Blocking, unlike `flush_soon`: the close must not overtake a
+            // flush another thread is making. Runs in `Drop`, so a poisoned
+            // lock is skipped rather than unwrapped.
+            if let Ok(mut frames) = self.outbox.frames.lock() {
+                let flushed = frames.flush();
+                let _ = self.outbox.settle(flushed);
+            }
+        }
+        self.outbox.shutdown();
         if let Some(h) = self.reader.take() {
             let _ = h.join();
         }
@@ -308,6 +410,7 @@ pub struct Client {
     closing: Arc<AtomicBool>,
     reconnects: AtomicU64,
     unmatched: Arc<AtomicU64>,
+    flushes: Arc<AtomicU64>,
 }
 
 impl Client {
@@ -364,7 +467,8 @@ impl Client {
     pub fn from_duplex_with<S: Duplex>(stream: S, config: ClientConfig) -> io::Result<Client> {
         let closing = Arc::new(AtomicBool::new(false));
         let unmatched = Arc::new(AtomicU64::new(0));
-        let conn = Conn::open(Box::new(stream), &config, &closing, &unmatched)?;
+        let flushes = Arc::new(AtomicU64::new(0));
+        let conn = Conn::open(Box::new(stream), &config, &closing, &unmatched, &flushes)?;
         Ok(Client {
             conn: Mutex::new(Some(conn)),
             connector: None,
@@ -373,6 +477,7 @@ impl Client {
             closing,
             reconnects: AtomicU64::new(0),
             unmatched,
+            flushes,
         })
     }
 
@@ -386,10 +491,11 @@ impl Client {
     {
         let closing = Arc::new(AtomicBool::new(false));
         let unmatched = Arc::new(AtomicU64::new(0));
+        let flushes = Arc::new(AtomicU64::new(0));
         let connector: Connector = Box::new(connector);
         let mut attempt = 0u32;
         let conn = loop {
-            match connector().and_then(|s| Conn::open(s, &config, &closing, &unmatched)) {
+            match connector().and_then(|s| Conn::open(s, &config, &closing, &unmatched, &flushes)) {
                 Ok(conn) => break conn,
                 Err(e) => match config.reconnect {
                     Some(policy) if attempt < policy.max_retries => {
@@ -408,6 +514,7 @@ impl Client {
             closing,
             reconnects: AtomicU64::new(0),
             unmatched,
+            flushes,
         })
     }
 
@@ -426,9 +533,15 @@ impl Client {
                     // Tear the old generation down first: its reader drains
                     // its own pending map, so nothing leaks across.
                     drop(guard.take());
-                    match connector()
-                        .and_then(|s| Conn::open(s, &self.config, &self.closing, &self.unmatched))
-                    {
+                    match connector().and_then(|s| {
+                        Conn::open(
+                            s,
+                            &self.config,
+                            &self.closing,
+                            &self.unmatched,
+                            &self.flushes,
+                        )
+                    }) {
                         Ok(conn) => {
                             self.reconnects.fetch_add(1, Ordering::Relaxed);
                             *guard = Some(conn);
@@ -449,18 +562,37 @@ impl Client {
         let conn = guard.as_ref().expect("conn ensured above");
         let request_id = request.request_id();
         let slot = ReplySlot::new();
-        // Register before writing: the response can race the write returning.
-        conn.demux
-            .pending
-            .lock()
-            .expect("pending map poisoned")
-            .insert(request_id, Arc::clone(&slot));
         let payload = encode_request(request);
-        let write = {
-            let mut writer = conn.writer.lock().expect("writer poisoned");
-            write_frame(&mut *writer, &payload)
+        let write = conn.outbox.with_frames(|frames| {
+            // Register before writing: the response can race the write
+            // returning. Registering under the writer lock makes the count
+            // below and the push one step for the reader, which removes an
+            // answered request *before* it flushes.
+            let unanswered = {
+                let mut pending = conn.demux.pending.lock().expect("pending map poisoned");
+                pending.insert(request_id, Arc::clone(&slot));
+                pending.len()
+            };
+            let pushed = frames.push(&payload);
+            let pushed = conn.outbox.settle(pushed);
+            // Write through when no earlier request is unanswered (no
+            // response is coming whose arrival would flush this frame) and
+            // for pings and health probes, which callers wait on at once.
+            // Otherwise the frame waits for the next flush: an answer to an
+            // earlier request, a `Reply::wait`/`try_get`, a full buffer.
+            let through = unanswered == 1 || !matches!(request, Request::Submit { .. });
+            if pushed.is_ok() && through {
+                let flushed = frames.flush();
+                conn.outbox.settle(flushed)
+            } else {
+                pushed
+            }
+        });
+        let reply = Reply {
+            slot,
+            request_id,
+            outbox: Arc::downgrade(&conn.outbox),
         };
-        let reply = Reply { slot, request_id };
         match write {
             Ok(()) => SendAttempt::Sent(reply),
             Err(e) => {
@@ -469,11 +601,9 @@ impl Client {
                     .lock()
                     .expect("pending map poisoned")
                     .remove(&reply.request_id);
-                // The frame may be partially on the wire: the connection can
-                // no longer be trusted for framing. Kill it so the reader
-                // exits and the next send re-dials.
-                conn.demux.dead.store(true, Ordering::Release);
-                let _ = conn.stream.shutdown_both();
+                // The frame may be partially on the wire: `settle` has
+                // killed the connection, so the reader exits and the next
+                // send re-dials.
                 SendAttempt::WriteFailed {
                     error: e.to_string(),
                     reply,
@@ -538,9 +668,11 @@ impl Client {
         }
     }
 
-    /// Submit one transaction; blocks server-side if the admission queue is
-    /// full (backpressure through the TCP window). Returns as soon as the
-    /// frame is written — resolution comes through the [`Reply`].
+    /// Submit one transaction. Returns as soon as the frame is written, or
+    /// buffered behind an earlier unanswered request (see
+    /// `docs/wire-protocol.md`, "Write coalescing") — resolution comes
+    /// through the [`Reply`]. A full server admission queue backpressures
+    /// through the TCP window into whichever call flushes next.
     pub fn submit(&self, txn_type: TxnTypeId, params: Vec<Value>) -> Result<Reply, ClientError> {
         self.send(&Request::Submit {
             request_id: self.next_id.fetch_add(1, Ordering::Relaxed),
@@ -604,6 +736,13 @@ impl Client {
         self.reconnects.load(Ordering::Relaxed)
     }
 
+    /// Transport writes that carried request frames, across reconnects.
+    /// Each writes every frame buffered since the previous one, so
+    /// submits per flush is the mean coalescing factor.
+    pub fn flushes(&self) -> u64 {
+        self.flushes.load(Ordering::Relaxed)
+    }
+
     /// Requests still awaiting a response on the current connection.
     pub fn in_flight(&self) -> usize {
         match self.conn.lock().expect("conn poisoned").as_ref() {
@@ -633,7 +772,7 @@ impl Drop for Client {
 /// a read timeout can be classified: mid-frame it is a stalled peer (fatal),
 /// at a boundary it is mere idleness (poll the closing flag and wait on).
 struct CountingReader {
-    inner: Box<dyn Duplex>,
+    inner: FrameReader,
     consumed: u64,
 }
 
@@ -653,8 +792,12 @@ fn is_timeout(e: &io::Error) -> bool {
 }
 
 /// Demultiplex response frames to their replies until the connection ends,
-/// then fail whatever is left pending.
-fn reader_loop(stream: Box<dyn Duplex>, demux: &Demux, closing: &AtomicBool) {
+/// then fail whatever is left pending. After each decoded response the
+/// connection's buffered request frames are flushed: a frame is buffered
+/// only while an earlier request is unanswered, so this is what bounds its
+/// wait to one answer.
+fn reader_loop(stream: FrameReader, outbox: &Outbox, closing: &AtomicBool) {
+    let demux = &*outbox.demux;
     let mut reader = CountingReader {
         inner: stream,
         consumed: 0,
@@ -685,17 +828,19 @@ fn reader_loop(stream: Box<dyn Duplex>, demux: &Demux, closing: &AtomicBool) {
         };
         let (request_id, result) = match response {
             Response::Committed { request_id, txn_id } => {
-                (request_id, TxnResult::Committed(txn_id))
+                (request_id, Ok(TxnResult::Committed(txn_id)))
             }
-            Response::Aborted { request_id, txn_id } => (request_id, TxnResult::Aborted(txn_id)),
-            Response::QueueFull { request_id } => (request_id, TxnResult::QueueFull),
+            Response::Aborted { request_id, txn_id } => {
+                (request_id, Ok(TxnResult::Aborted(txn_id)))
+            }
+            Response::QueueFull { request_id } => (request_id, Ok(TxnResult::QueueFull)),
             Response::BulkFailed {
                 request_id,
                 message,
-            } => (request_id, TxnResult::BulkFailed(message)),
-            Response::Disconnected { request_id } => (request_id, TxnResult::Disconnected),
-            Response::Pong { request_id } => (request_id, TxnResult::Pong),
-            Response::Health { request_id, report } => (request_id, TxnResult::Health(report)),
+            } => (request_id, Ok(TxnResult::BulkFailed(message))),
+            Response::Disconnected { request_id } => (request_id, Ok(TxnResult::Disconnected)),
+            Response::Pong { request_id } => (request_id, Ok(TxnResult::Pong)),
+            Response::Health { request_id, report } => (request_id, Ok(TxnResult::Health(report))),
             Response::Error {
                 request_id: 0,
                 message,
@@ -708,31 +853,25 @@ fn reader_loop(stream: Box<dyn Duplex>, demux: &Demux, closing: &AtomicBool) {
             Response::Error {
                 request_id,
                 message,
-            } => {
-                let slot = demux
-                    .pending
-                    .lock()
-                    .expect("pending map poisoned")
-                    .remove(&request_id);
-                match slot {
-                    Some(s) => s.resolve(Err(ClientError::ConnectionClosed(message))),
-                    None => {
-                        demux.unmatched.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                continue;
-            }
+            } => (request_id, Err(ClientError::ConnectionClosed(message))),
         };
-        let slot = demux
-            .pending
-            .lock()
-            .expect("pending map poisoned")
-            .remove(&request_id);
+        let (slot, unanswered) = {
+            let mut pending = demux.pending.lock().expect("pending map poisoned");
+            (pending.remove(&request_id), pending.len())
+        };
         match slot {
-            Some(s) => s.resolve(Ok(result)),
+            Some(s) => s.resolve(result),
             None => {
                 demux.unmatched.fetch_add(1, Ordering::Relaxed);
             }
+        }
+        // Only after the answered request left `pending`: a submit that still
+        // saw it there buffered its frame, and this flush is what sends it.
+        // Past the server's response queue depth the flush could block on a
+        // server whose reader waits for this thread to read responses, so
+        // it waits for more answers (or a full buffer) instead.
+        if unanswered <= RESPONSE_QUEUE_DEPTH {
+            outbox.flush_soon();
         }
     };
     demux.dead.store(true, Ordering::Release);

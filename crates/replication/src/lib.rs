@@ -10,10 +10,10 @@
 //!   publishes each committed bulk's redo record into the hub, which applies
 //!   it to a *mirror* database (the always-consistent snapshot source, kept
 //!   off the execution path) and fans the encoded record out to every
-//!   subscribed follower through a **bounded** per-follower queue. A slow
-//!   follower overflows its queue and is *shed* — its session discards the
-//!   queue and resyncs from a fresh snapshot — so a dead or lagging follower
-//!   never blocks primary commits.
+//!   subscribed follower through a **bounded** per-follower queue. A
+//!   follower that leaves more than `queue_depth` records unacknowledged is
+//!   *shed* — its session discards the queue and resyncs from a fresh
+//!   snapshot — so a dead or lagging follower never blocks primary commits.
 //! * [`Replica`] — the follower side. Subscribes over any
 //!   [`Duplex`](gputx_server::Duplex) stream, bootstraps from a chunked
 //!   `Database::encode_into` snapshot, then applies `LogRecord` frames

@@ -18,9 +18,10 @@ use std::time::Duration;
 /// Tuning knobs of a [`PrimaryHub`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicationOptions {
-    /// Capacity of each follower's record queue. A follower whose queue
-    /// overflows is shed (queue discarded, fresh snapshot resync) instead of
-    /// ever backpressuring the commit path.
+    /// Most records a follower may leave unacknowledged (published after
+    /// its last ack or sync point), and the capacity of its record queue. A
+    /// follower lagging further is shed (queue discarded, fresh snapshot
+    /// resync) instead of ever backpressuring the commit path.
     pub queue_depth: usize,
     /// Snapshot transfer chunk size in bytes; must fit a wire frame.
     pub chunk_len: usize,
@@ -43,12 +44,13 @@ pub struct PrimaryStats {
     /// Redo records published into the hub (== bulks committed while the
     /// hub was attached).
     pub records_published: u64,
-    /// Records dropped on a full follower queue (each run of drops ends in
-    /// one snapshot resync for that follower).
+    /// Records not sent to a follower because it lagged more than
+    /// `queue_depth` unacknowledged records (each run of drops ends in one
+    /// snapshot resync for that follower).
     pub records_shed: u64,
     /// Snapshot transfers completed (initial syncs and resyncs).
     pub snapshots_sent: u64,
-    /// Snapshot resyncs forced by queue overflow.
+    /// Snapshot resyncs forced by shedding.
     pub resyncs: u64,
     /// Subscriptions refused because the follower's epoch was newer than
     /// ours — each one means this primary is stale and has fenced itself.
@@ -82,13 +84,17 @@ enum Item {
 struct FollowerSlot {
     id: u64,
     tx: SyncSender<Item>,
-    /// Set by the publish path on queue overflow; the sender observes it,
-    /// discards its queue and resyncs from a fresh snapshot. While set, the
-    /// publish path skips this follower entirely (sheds).
+    /// Set by the publish path when the follower lags too far; the sender
+    /// observes it, discards its queue and resyncs from a fresh snapshot.
+    /// While set, the publish path skips this follower entirely (sheds).
     gap: Arc<AtomicBool>,
     /// The follower's acked applied-LSN watermark (written by the ack
     /// reader thread).
     acked: Arc<AtomicU64>,
+    /// `next_lsn` when the follower's current sync began (subscription or
+    /// last resync): records before it are covered by its snapshot, so they
+    /// never count as lag, acked or not.
+    synced_from: u64,
 }
 
 /// The replication state machine guarded by one lock: the mirror database
@@ -129,7 +135,7 @@ struct SessionConn {
 /// The hub owns a **mirror** of the database, advanced record-by-record on
 /// the commit path. That costs one extra write-set apply per bulk and one
 /// extra copy of the data, and buys the crucial property that a consistent
-/// snapshot (for a follower's initial sync or an overflow resync) is always
+/// snapshot (for a follower's initial sync or a shed resync) is always
 /// available under one short lock — the engine's live database is never
 /// touched by replication.
 ///
@@ -211,9 +217,12 @@ impl PrimaryHub {
     /// gap, because a mirror that silently skipped a record would ship
     /// corrupt snapshots forever after.
     ///
-    /// Never blocks on a follower: full queues shed (the follower resyncs
+    /// Never blocks on a follower: one that has left more than
+    /// `queue_depth` published records unacknowledged is shed (it resyncs
     /// from a snapshot later), and encoding happens once regardless of
-    /// follower count.
+    /// follower count. Lag is judged on acks, not on how much of the stream
+    /// the sender thread managed to push into the socket, so the decision
+    /// does not depend on kernel buffer sizes or scheduling.
     pub fn publish(&self, record: &BulkLogRecord) {
         let mut m = self.shared.mirror.lock().expect("mirror poisoned");
         assert_eq!(
@@ -234,26 +243,31 @@ impl PrimaryHub {
                 commit_nanos: unix_nanos(),
                 payload: record.encode(),
             }));
+            let depth = self.shared.opts.queue_depth as u64;
             for slot in &m.slots {
-                if slot.gap.load(Ordering::Acquire) {
-                    // Already shedding; the session will snapshot-resync.
+                // Records this follower has neither acked nor received in
+                // its snapshot, this one included.
+                let unacked = m
+                    .next_lsn
+                    .saturating_sub(slot.acked.load(Ordering::Acquire).max(slot.synced_from));
+                let sent = !slot.gap.load(Ordering::Acquire)
+                    && unacked <= depth
+                    // The queue holds at most `unacked - 1` records, so it
+                    // is full only when `acked` still carries a watermark
+                    // from an older epoch: a backstop, not the shed rule.
+                    && match slot.tx.try_send(Item::Record(Arc::clone(&frame))) {
+                        Ok(()) => true,
+                        Err(TrySendError::Full(_)) => false,
+                        // Session already tearing down; it unregisters itself.
+                        Err(TrySendError::Disconnected(_)) => true,
+                    };
+                if !sent {
+                    // Shedding; the session will snapshot-resync.
+                    slot.gap.store(true, Ordering::Release);
                     self.shared
                         .counters
                         .records_shed
                         .fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                match slot.tx.try_send(Item::Record(Arc::clone(&frame))) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(_)) => {
-                        slot.gap.store(true, Ordering::Release);
-                        self.shared
-                            .counters
-                            .records_shed
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    // Session already tearing down; it unregisters itself.
-                    Err(TrySendError::Disconnected(_)) => {}
                 }
             }
         }
@@ -493,11 +507,13 @@ fn register_follower(
     } else {
         Some((m.epoch, m.next_lsn, encode_snapshot(&m.db)))
     };
+    let synced_from = m.next_lsn;
     m.slots.push(FollowerSlot {
         id,
         tx,
         gap: Arc::clone(&gap),
         acked: Arc::clone(&acked),
+        synced_from,
     });
     Ok((id, rx, gap, acked, snapshot))
 }
@@ -625,9 +641,13 @@ fn session_loop(
             // lock; clearing the gap under the same lock means no record
             // published after the cut can be missed.
             let (epoch, next_lsn, bytes) = {
-                let m = shared.mirror.lock().expect("mirror poisoned");
+                let mut guard = shared.mirror.lock().expect("mirror poisoned");
+                let m = &mut *guard;
                 while rx.try_recv().is_ok() {}
                 gap.store(false, Ordering::Release);
+                if let Some(slot) = m.slots.iter_mut().find(|s| s.id == id) {
+                    slot.synced_from = m.next_lsn;
+                }
                 (m.epoch, m.next_lsn, encode_snapshot(&m.db))
             };
             shared.counters.resyncs.fetch_add(1, Ordering::Relaxed);

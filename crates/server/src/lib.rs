@@ -11,14 +11,15 @@
 //!
 //! Per connection the server runs two threads:
 //!
-//! * a **reader** that parses frames, submits into the pipeline, and enqueues
-//!   the resulting ticket (or an immediate response) to the responder in
-//!   request order;
-//! * a **responder** that resolves tickets FIFO and writes response frames.
-//!   Because a single connection's submissions enter admission in frame
-//!   order, its responses also come back in frame order — which is what makes
-//!   a single-connection run bit-reproducible against an in-process run of
-//!   the same stream.
+//! * a **reader** that parses frames out of a [`FrameReader`] (one transport
+//!   read per burst), submits into the pipeline, and enqueues the resulting
+//!   ticket (or an immediate response) to the responder in request order;
+//! * a **responder** that resolves tickets FIFO and coalesces response frames
+//!   in a [`FrameWriter`], flushing only just before it would block (see
+//!   `docs/wire-protocol.md`, "Write coalescing"). Because a single
+//!   connection's submissions enter admission in frame order, its responses
+//!   also come back in frame order — which is what makes a single-connection
+//!   run bit-reproducible against an in-process run of the same stream.
 //!
 //! Failure is data, not a panic: a malformed frame gets a
 //! [`proto::Response::Error`] and a connection close, an engine shutdown
@@ -42,7 +43,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -67,6 +68,128 @@ pub trait Duplex: Read + Write + Send + 'static {
     /// path (`shutdown_both`) as the guaranteed unblocker.
     fn set_read_timeout(&self, _timeout: Option<std::time::Duration>) -> io::Result<()> {
         Ok(())
+    }
+    /// The buffered halves the request/response path runs on: a
+    /// [`FrameReader`] that refills in bulk and a [`FrameWriter`] that
+    /// coalesces whole frames until flushed. A wrapper that acts per frame
+    /// (like [`ChaosDuplex`]) overrides this so it stays *above* the
+    /// buffers instead of seeing one coalesced write per burst.
+    fn buffered_halves(&self) -> io::Result<(FrameReader, FrameWriter)> {
+        Ok((
+            FrameReader::new(self.try_clone_box()?, None),
+            FrameWriter::new(self.try_clone_box()?, None),
+        ))
+    }
+}
+
+/// Capacity of a [`FrameReader`]'s refill buffer.
+pub const READ_BUFFER_LEN: usize = 64 * 1024;
+
+/// Bytes a [`FrameWriter`] holds before it flushes on its own.
+pub const WRITE_BUFFER_LEN: usize = 64 * 1024;
+
+/// Frames a [`FrameWriter`] holds before it flushes on its own, whatever
+/// their size: at most half the server's response queue, so a peer whose
+/// frames sit in a full buffer always has others in flight whose answers
+/// come back.
+pub const WRITE_BUFFER_FRAMES: usize = RESPONSE_QUEUE_DEPTH / 2;
+
+/// Responses a connection's reader may queue for its responder before it
+/// stops reading the socket. A peer with at most this many requests
+/// unanswered never finds that reader blocked on a full response queue, so
+/// a write of its requests drains whether or not the peer is reading its
+/// responses meanwhile.
+pub const RESPONSE_QUEUE_DEPTH: usize = 1024;
+
+/// The buffered read half of a connection: frames are parsed out of a
+/// refill buffer, so a burst of frames costs one transport read. With a
+/// fault stream attached, each `read` call (not each refill) draws one
+/// read-side decision, exactly as an unbuffered [`ChaosDuplex`] read would.
+pub struct FrameReader {
+    inner: io::BufReader<Box<dyn Duplex>>,
+    faults: Option<Arc<gputx_faults::WireFaults>>,
+}
+
+impl FrameReader {
+    fn new(stream: Box<dyn Duplex>, faults: Option<Arc<gputx_faults::WireFaults>>) -> Self {
+        FrameReader {
+            inner: io::BufReader::with_capacity(READ_BUFFER_LEN, stream),
+            faults,
+        }
+    }
+}
+
+impl Read for FrameReader {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if let Some(faults) = &self.faults {
+            read_fault(faults, &**self.inner.get_ref())?;
+        }
+        self.inner.read(buf)
+    }
+}
+
+/// The buffered write half of a connection: [`push`](FrameWriter::push)
+/// appends a whole frame to memory, [`flush`](FrameWriter::flush) hands
+/// everything buffered to the transport in one `write_all`. With a fault
+/// stream attached, each frame draws exactly one write-side decision before
+/// it enters the buffer, so a `Drop` loses one frame, never a burst.
+pub struct FrameWriter {
+    stream: Box<dyn Duplex>,
+    faults: Option<Arc<gputx_faults::WireFaults>>,
+    buf: Vec<u8>,
+    /// Frames in `buf`.
+    frames: usize,
+}
+
+impl FrameWriter {
+    fn new(stream: Box<dyn Duplex>, faults: Option<Arc<gputx_faults::WireFaults>>) -> Self {
+        FrameWriter {
+            stream,
+            faults,
+            buf: Vec::new(),
+            frames: 0,
+        }
+    }
+
+    /// Buffer one frame. Once the buffer holds [`WRITE_BUFFER_LEN`] bytes
+    /// or [`WRITE_BUFFER_FRAMES`] frames it is flushed on the spot; returns
+    /// the frames that flush carried (0 when the frame only went to memory).
+    pub fn push(&mut self, payload: &[u8]) -> io::Result<usize> {
+        let fate = match &self.faults {
+            Some(faults) => write_fault(faults, &*self.stream)?,
+            None => FrameFate::Send,
+        };
+        if fate == FrameFate::Drop {
+            return Ok(0);
+        }
+        let start = self.buf.len();
+        proto::append_frame(&mut self.buf, payload);
+        if fate == FrameFate::Garble {
+            garble(&mut self.buf[start..]);
+        }
+        self.frames += 1;
+        if self.buf.len() >= WRITE_BUFFER_LEN || self.frames >= WRITE_BUFFER_FRAMES {
+            self.flush()
+        } else {
+            Ok(0)
+        }
+    }
+
+    /// Write every buffered frame to the transport in one `write_all` and
+    /// return how many it carried — 0 (and no syscall) when nothing was
+    /// buffered. After an error the buffer is discarded: part of it may be
+    /// on the wire, so the connection's framing can no longer be trusted.
+    pub fn flush(&mut self) -> io::Result<usize> {
+        if self.buf.is_empty() {
+            return Ok(0);
+        }
+        let frames = std::mem::take(&mut self.frames);
+        let written = self
+            .stream
+            .write_all(&self.buf)
+            .and_then(|()| self.stream.flush());
+        self.buf.clear();
+        written.map(|()| frames)
     }
 }
 
@@ -104,6 +227,9 @@ impl Duplex for Box<dyn Duplex> {
     fn set_read_timeout(&self, timeout: Option<std::time::Duration>) -> io::Result<()> {
         (**self).set_read_timeout(timeout)
     }
+    fn buffered_halves(&self) -> io::Result<(FrameReader, FrameWriter)> {
+        (**self).buffered_halves()
+    }
 }
 
 /// A [`Duplex`] that consults a deterministic
@@ -126,41 +252,77 @@ pub fn chaos_wrap<S: Duplex>(stream: S, faults: gputx_faults::WireFaults) -> Cha
     }
 }
 
-impl ChaosDuplex {
-    fn reset(&self) -> io::Error {
-        let _ = self.inner.shutdown_both();
-        io::Error::new(io::ErrorKind::ConnectionReset, "injected connection reset")
+/// What one write-side fault decision does to the bytes it covers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FrameFate {
+    Send,
+    /// Report success without writing.
+    Drop,
+    /// Flip one byte, then write.
+    Garble,
+}
+
+fn injected_reset(stream: &dyn Duplex) -> io::Error {
+    let _ = stream.shutdown_both();
+    io::Error::new(io::ErrorKind::ConnectionReset, "injected connection reset")
+}
+
+/// Draw one read-side decision: sleep through a delay, or reset `stream`.
+fn read_fault(faults: &gputx_faults::WireFaults, stream: &dyn Duplex) -> io::Result<()> {
+    match faults.on_read() {
+        Some(gputx_faults::WireFault::Delay(d)) => std::thread::sleep(d),
+        Some(gputx_faults::WireFault::Reset) => return Err(injected_reset(stream)),
+        _ => {}
+    }
+    Ok(())
+}
+
+/// Draw one write-side decision. Delays and resets act here; drops and
+/// corruptions are returned for the caller to apply to its bytes.
+fn write_fault(faults: &gputx_faults::WireFaults, stream: &dyn Duplex) -> io::Result<FrameFate> {
+    Ok(match faults.on_write() {
+        Some(gputx_faults::WireFault::Drop) => FrameFate::Drop,
+        Some(gputx_faults::WireFault::Corrupt) => FrameFate::Garble,
+        Some(gputx_faults::WireFault::Delay(d)) => {
+            std::thread::sleep(d);
+            FrameFate::Send
+        }
+        Some(gputx_faults::WireFault::Reset) => return Err(injected_reset(stream)),
+        None => FrameFate::Send,
+    })
+}
+
+/// Flip the middle byte: the CRC (or a length check) catches it downstream.
+fn garble(bytes: &mut [u8]) {
+    if !bytes.is_empty() {
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xA5;
     }
 }
 
 impl Read for ChaosDuplex {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self.faults.on_read() {
-            Some(gputx_faults::WireFault::Delay(d)) => std::thread::sleep(d),
-            Some(gputx_faults::WireFault::Reset) => return Err(self.reset()),
-            _ => {}
-        }
+        read_fault(&self.faults, &*self.inner)?;
         self.inner.read(buf)
     }
 }
 
 impl Write for ChaosDuplex {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self.faults.on_write() {
-            // Report success without writing: with one-write-per-frame
-            // callers (`write_frame`) this drops the frame cleanly.
-            Some(gputx_faults::WireFault::Drop) => return Ok(buf.len()),
-            Some(gputx_faults::WireFault::Corrupt) if !buf.is_empty() => {
+        // One decision per call. Unbuffered callers (`write_frame`, the
+        // replication streams) hand over one whole frame per call, so a drop
+        // loses exactly that frame; the client/server request path instead
+        // goes through `buffered_halves`, which decides per frame *before*
+        // coalescing and never reaches this method.
+        match write_fault(&self.faults, &*self.inner)? {
+            FrameFate::Drop => Ok(buf.len()),
+            FrameFate::Garble if !buf.is_empty() => {
                 let mut garbled = buf.to_vec();
-                let mid = garbled.len() / 2;
-                garbled[mid] ^= 0xA5;
-                return self.inner.write(&garbled);
+                garble(&mut garbled);
+                self.inner.write(&garbled)
             }
-            Some(gputx_faults::WireFault::Delay(d)) => std::thread::sleep(d),
-            Some(gputx_faults::WireFault::Reset) => return Err(self.reset()),
-            _ => {}
+            _ => self.inner.write(buf),
         }
-        self.inner.write(buf)
     }
     fn flush(&mut self) -> io::Result<()> {
         self.inner.flush()
@@ -179,6 +341,15 @@ impl Duplex for ChaosDuplex {
     }
     fn set_read_timeout(&self, timeout: Option<std::time::Duration>) -> io::Result<()> {
         self.inner.set_read_timeout(timeout)
+    }
+    /// Buffered halves of the *inner* transport with this fault stream
+    /// layered on top: the fault plane stays above the buffers, drawing per
+    /// frame on writes and per `read` call on reads.
+    fn buffered_halves(&self) -> io::Result<(FrameReader, FrameWriter)> {
+        Ok((
+            FrameReader::new(self.inner.try_clone_box()?, Some(Arc::clone(&self.faults))),
+            FrameWriter::new(self.inner.try_clone_box()?, Some(Arc::clone(&self.faults))),
+        ))
     }
 }
 
@@ -199,6 +370,10 @@ pub struct ServerStats {
     pub requests: u64,
     /// Responses written to peers (excludes drained-after-disconnect ones).
     pub responses: u64,
+    /// Transport writes that carried responses: each flushes every response
+    /// coalesced since the previous one, so `responses / response_flushes`
+    /// is the mean frames per write.
+    pub response_flushes: u64,
     /// Malformed frames / dirty disconnects (each also closes a connection).
     pub protocol_errors: u64,
     /// Connections refused at the [`ServerConfig::max_connections`] cap
@@ -214,6 +389,7 @@ struct StatCounters {
     connections: AtomicU64,
     requests: AtomicU64,
     responses: AtomicU64,
+    response_flushes: AtomicU64,
     protocol_errors: AtomicU64,
     refused: AtomicU64,
     idle_reaped: AtomicU64,
@@ -381,6 +557,7 @@ impl Server {
             connections: self.shared.stats.connections.load(Ordering::Relaxed),
             requests: self.shared.stats.requests.load(Ordering::Relaxed),
             responses: self.shared.stats.responses.load(Ordering::Relaxed),
+            response_flushes: self.shared.stats.response_flushes.load(Ordering::Relaxed),
             protocol_errors: self.shared.stats.protocol_errors.load(Ordering::Relaxed),
             refused: self.shared.stats.refused.load(Ordering::Relaxed),
             idle_reaped: self.shared.stats.idle_reaped.load(Ordering::Relaxed),
@@ -429,8 +606,7 @@ impl Drop for Server {
 }
 
 fn attach_to<S: Duplex>(shared: &Arc<Shared>, stream: S) -> io::Result<()> {
-    let read_half = stream.try_clone_box()?;
-    let write_half = stream.try_clone_box()?;
+    let (read_half, write_half) = stream.buffered_halves()?;
     // Register under the connection-list lock, re-checking `stopping` inside
     // it: `stop()` stores the flag *before* taking this lock, so either we
     // see the flag and refuse, or `stop()` sees our entry and closes it.
@@ -466,7 +642,7 @@ fn attach_to<S: Duplex>(shared: &Arc<Shared>, stream: S) -> io::Result<()> {
     shared.stats.connections.fetch_add(1, Ordering::Relaxed);
     // Bounded queue: a peer that stops reading responses eventually
     // backpressures its own reader thread instead of buffering unboundedly.
-    let (tx, rx) = sync_channel::<Outgoing>(1024);
+    let (tx, rx) = sync_channel::<Outgoing>(RESPONSE_QUEUE_DEPTH);
     let conn_id = shared.stats.connections.load(Ordering::Relaxed);
     let last_activity_ms = Arc::new(AtomicU64::new(shared.now_ms()));
     let reader = {
@@ -552,7 +728,7 @@ fn reaper_loop(shared: &Shared, timeout: std::time::Duration) {
 /// finish draining and close the connection.
 fn reader_loop(
     shared: &Shared,
-    mut stream: Box<dyn Duplex>,
+    mut stream: FrameReader,
     tx: &SyncSender<Outgoing>,
     activity: &AtomicU64,
 ) {
@@ -635,38 +811,170 @@ fn reader_loop(
     }
 }
 
-/// Resolve queued work FIFO and write response frames. If the peer stops
+/// Resolve queued work FIFO and write response frames. Responses coalesce
+/// in the write buffer, which is flushed only just before this thread would
+/// block — on an unresolved ticket or an empty queue — and at shutdown, so a
+/// bulk's worth of resolved tickets leaves in one write. If the peer stops
 /// accepting writes (disconnect mid-bulk), keep *draining* tickets without
-/// writing, so the pipeline's already-admitted transactions resolve normally
-/// and nothing blocks on the dead connection.
-fn responder_loop(shared: &Shared, mut stream: Box<dyn Duplex>, rx: Receiver<Outgoing>) {
+/// writing, so the pipeline's already-admitted transactions resolve
+/// normally and nothing blocks on the dead connection.
+fn responder_loop(shared: &Shared, mut out: FrameWriter, rx: Receiver<Outgoing>) {
     let mut peer_alive = true;
-    for out in rx {
-        let response = match out {
-            Outgoing::Immediate(r) => r,
-            Outgoing::Pending { request_id, ticket } => match ticket.wait() {
-                Ok((txn_id, TxnOutcome::Committed)) => Response::Committed { request_id, txn_id },
-                Ok((txn_id, TxnOutcome::Aborted(_))) => Response::Aborted { request_id, txn_id },
-                Err(PipelineError::QueueFull) => Response::QueueFull { request_id },
-                Err(PipelineError::BulkFailed(message)) => Response::BulkFailed {
-                    request_id,
-                    message,
-                },
-                Err(PipelineError::ShutDown) | Err(PipelineError::Disconnected) => {
-                    Response::Disconnected { request_id }
+    loop {
+        let next = match rx.try_recv() {
+            Ok(next) => next,
+            Err(TryRecvError::Empty) => {
+                flush_responses(shared, &mut out, &mut peer_alive);
+                match rx.recv() {
+                    Ok(next) => next,
+                    Err(_) => break,
                 }
-            },
+            }
+            Err(TryRecvError::Disconnected) => break,
+        };
+        let response = match next {
+            Outgoing::Immediate(r) => r,
+            Outgoing::Pending { request_id, ticket } => {
+                let resolved = ticket.try_get().unwrap_or_else(|| {
+                    flush_responses(shared, &mut out, &mut peer_alive);
+                    ticket.wait()
+                });
+                match resolved {
+                    Ok((txn_id, TxnOutcome::Committed)) => {
+                        Response::Committed { request_id, txn_id }
+                    }
+                    Ok((txn_id, TxnOutcome::Aborted(_))) => {
+                        Response::Aborted { request_id, txn_id }
+                    }
+                    Err(PipelineError::QueueFull) => Response::QueueFull { request_id },
+                    Err(PipelineError::BulkFailed(message)) => Response::BulkFailed {
+                        request_id,
+                        message,
+                    },
+                    Err(PipelineError::ShutDown) | Err(PipelineError::Disconnected) => {
+                        Response::Disconnected { request_id }
+                    }
+                }
+            }
         };
         if peer_alive {
-            let payload = encode_response(&response);
-            if write_frame(&mut stream, &payload).is_ok() {
-                shared.stats.responses.fetch_add(1, Ordering::Relaxed);
-            } else {
-                peer_alive = false;
-            }
+            let pushed = out.push(&encode_response(&response));
+            count_flush(shared, pushed, &mut peer_alive);
         }
     }
+    flush_responses(shared, &mut out, &mut peer_alive);
     // All responses written (or drained): signal EOF to the peer even though
     // the registry in `Shared::conns` still holds a handle to this socket.
-    let _ = stream.shutdown_both();
+    let _ = out.stream.shutdown_both();
+}
+
+fn flush_responses(shared: &Shared, out: &mut FrameWriter, peer_alive: &mut bool) {
+    if *peer_alive {
+        let flushed = out.flush();
+        count_flush(shared, flushed, peer_alive);
+    }
+}
+
+/// Account for a write-buffer flush: its frames are responses written; a
+/// failed one means the peer is gone.
+fn count_flush(shared: &Shared, flushed: io::Result<usize>, peer_alive: &mut bool) {
+    match flushed {
+        Ok(0) => {}
+        Ok(frames) => {
+            shared
+                .stats
+                .responses
+                .fetch_add(frames as u64, Ordering::Relaxed);
+            shared
+                .stats
+                .response_flushes
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        Err(_) => *peer_alive = false,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gputx_faults::{FaultInjector, FaultPlan, WireFault};
+
+    const FRAMES: u64 = 200;
+
+    fn drop_plan(seed: u64) -> FaultPlan {
+        FaultPlan {
+            seed,
+            frame_drop: 0.2,
+            ..FaultPlan::disabled()
+        }
+    }
+
+    /// Push [`FRAMES`] pings through the buffered writer of a chaos-wrapped
+    /// socket, flush once, and return the request ids that arrived.
+    fn delivered(seed: u64) -> Vec<u64> {
+        let (near, mut far) = socket_pair().expect("socketpair");
+        let chaos = chaos_wrap(near, FaultInjector::new(drop_plan(seed)).wire("client-0"));
+        let (_, mut writer) = chaos.buffered_halves().expect("buffered halves");
+        for request_id in 0..FRAMES {
+            let pushed = writer.push(&proto::encode_request(&Request::Ping { request_id }));
+            assert_eq!(pushed.expect("push"), 0, "everything fits one buffer");
+        }
+        let carried = writer.flush().expect("flush");
+        chaos.shutdown_both().expect("shutdown");
+        let mut ids = Vec::new();
+        while let Some(payload) = read_frame(&mut far, MAX_FRAME_LEN).expect("clean frames") {
+            ids.push(decode_request(&payload).expect("request").request_id());
+        }
+        assert_eq!(
+            carried,
+            ids.len(),
+            "one flush carried every surviving frame"
+        );
+        ids
+    }
+
+    #[test]
+    fn frame_writer_flushes_on_its_own_when_full() {
+        let (near, mut far) = socket_pair().expect("socketpair");
+        let (_, mut writer) = near.buffered_halves().expect("buffered halves");
+        let ping = proto::encode_request(&Request::Ping { request_id: 1 });
+        for _ in 1..WRITE_BUFFER_FRAMES {
+            assert_eq!(writer.push(&ping).expect("push"), 0);
+        }
+        assert_eq!(writer.push(&ping).expect("push"), WRITE_BUFFER_FRAMES);
+        let big = vec![0u8; WRITE_BUFFER_LEN];
+        assert_eq!(
+            writer.push(&big).expect("push"),
+            1,
+            "one frame over the byte cap"
+        );
+        assert_eq!(writer.flush().expect("flush"), 0, "nothing left");
+        near.shutdown_both().expect("shutdown");
+        let mut frames = 0;
+        while read_frame(&mut far, MAX_FRAME_LEN)
+            .expect("clean")
+            .is_some()
+        {
+            frames += 1;
+        }
+        assert_eq!(frames, WRITE_BUFFER_FRAMES + 1);
+    }
+
+    #[test]
+    fn buffered_chaos_drops_exactly_the_frames_its_decisions_select() {
+        let seed = 0xD209;
+        // The same seed and label replay the writer's decision stream.
+        let decisions = FaultInjector::new(drop_plan(seed)).wire("client-0");
+        let expected: Vec<u64> = (0..FRAMES)
+            .filter(|_| decisions.on_write() != Some(WireFault::Drop))
+            .collect();
+        assert!(
+            (1..FRAMES as usize).contains(&expected.len()),
+            "the plan drops some frames, not all"
+        );
+        let got = delivered(seed);
+        assert_eq!(got, expected, "lost frames == frames drawn as drops");
+        assert_eq!(delivered(seed), got, "same seed, same loss set");
+        assert_ne!(delivered(seed + 1), got, "another seed, another loss set");
+    }
 }

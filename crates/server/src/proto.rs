@@ -540,12 +540,20 @@ pub fn decode_repl(payload: &[u8]) -> Result<ReplMsg, WireError> {
     Ok(msg)
 }
 
-/// Write one frame (header + payload) and flush.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
+/// Append one frame (header + payload) to `buf` — the in-memory half of
+/// [`write_frame`], which coalescing writers call once per frame and then
+/// hand the whole buffer to the transport in one write.
+pub fn append_frame(buf: &mut Vec<u8>, payload: &[u8]) {
+    buf.reserve(FRAME_HEADER_LEN + payload.len());
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     buf.extend_from_slice(&crc32(payload).to_le_bytes());
     buf.extend_from_slice(payload);
+}
+
+/// Write one frame (header + payload) and flush.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    let mut buf = Vec::new();
+    append_frame(&mut buf, payload);
     w.write_all(&buf)?;
     w.flush()
 }

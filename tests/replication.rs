@@ -15,22 +15,29 @@
 //!   resync is in flight discards the partial snapshot, promotes its last
 //!   installed state, and a new group forms under the promoted epoch.
 //! * **Slow followers shed, never block** — a follower that stops reading
-//!   gets gap-marked and resynced; the commit path never waits on it.
+//!   gets gap-marked and resynced; the commit path never waits on it, and
+//!   (proptest over socket buffer sizes and stall points) it is shed at
+//!   exactly the first record that leaves more than `queue_depth`
+//!   unacknowledged.
 
 use gputx_core::EngineBuilder;
 use gputx_durability::BulkLogRecord;
 use gputx_replication::{
     Replica, ReplicaSeed, ReplicaSupervisor, ReplicationOptions, SupervisorConfig,
 };
-use gputx_server::proto::{encode_repl, read_frame, write_frame, ReplMsg, MAX_FRAME_LEN};
-use gputx_server::socket_pair;
+use gputx_server::proto::{
+    decode_repl, encode_repl, read_frame, write_frame, ReplMsg, MAX_FRAME_LEN,
+};
+use gputx_server::{socket_pair, Duplex};
 use gputx_storage::{Database, WireWriter};
 use gputx_txn::{ProcedureRegistry, TxnSignature};
 use gputx_workloads::{MicroConfig, MicroWorkload, WorkloadBundle};
 use proptest::prelude::*;
+use std::collections::VecDeque;
+use std::io::{Read, Write};
 use std::net::Shutdown;
 use std::os::unix::net::UnixStream;
-use std::sync::OnceLock;
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 const WAIT: Duration = Duration::from_secs(10);
@@ -564,6 +571,180 @@ fn slow_follower_sheds_but_never_blocks_commits() {
     );
     hub.stop();
     drop(stalled);
+}
+
+/// One direction of an in-memory byte pipe holding at most `cap` bytes: a
+/// socket whose kernel buffer size the test chooses.
+struct Pipe {
+    cap: usize,
+    state: Mutex<(VecDeque<u8>, bool)>,
+    cond: Condvar,
+}
+
+/// A [`Duplex`] over two [`Pipe`]s: writes block while the peer's pipe is
+/// full, exactly as a socket blocks on a full send buffer.
+#[derive(Clone)]
+struct MemStream {
+    rx: Arc<Pipe>,
+    tx: Arc<Pipe>,
+}
+
+fn mem_pair(cap: usize) -> (MemStream, MemStream) {
+    let pipe = || {
+        Arc::new(Pipe {
+            cap,
+            state: Mutex::new((VecDeque::new(), false)),
+            cond: Condvar::new(),
+        })
+    };
+    let (a, b) = (pipe(), pipe());
+    (
+        MemStream {
+            rx: Arc::clone(&a),
+            tx: Arc::clone(&b),
+        },
+        MemStream { rx: b, tx: a },
+    )
+}
+
+impl Read for MemStream {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let mut state = self.rx.state.lock().expect("pipe poisoned");
+        while state.0.is_empty() && !state.1 {
+            state = self.rx.cond.wait(state).expect("pipe poisoned");
+        }
+        let n = buf.len().min(state.0.len());
+        for (dst, src) in buf.iter_mut().zip(state.0.drain(..n)) {
+            *dst = src;
+        }
+        self.rx.cond.notify_all();
+        Ok(n)
+    }
+}
+
+impl Write for MemStream {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let mut state = self.tx.state.lock().expect("pipe poisoned");
+        while state.0.len() >= self.tx.cap && !state.1 {
+            state = self.tx.cond.wait(state).expect("pipe poisoned");
+        }
+        if state.1 {
+            return Err(std::io::ErrorKind::BrokenPipe.into());
+        }
+        let n = buf.len().min(self.tx.cap - state.0.len());
+        state.0.extend(&buf[..n]);
+        self.tx.cond.notify_all();
+        Ok(n)
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+impl Duplex for MemStream {
+    fn try_clone_box(&self) -> std::io::Result<Box<dyn Duplex>> {
+        Ok(Box::new(self.clone()))
+    }
+    fn shutdown_both(&self) -> std::io::Result<()> {
+        for pipe in [&self.rx, &self.tx] {
+            pipe.state.lock().expect("pipe poisoned").1 = true;
+            pipe.cond.notify_all();
+        }
+        Ok(())
+    }
+}
+
+/// Subscribe from scratch, install the snapshot, apply and ack `records`
+/// log records, then stop reading — returning the still-open stream.
+fn follow_then_stall(mut stream: MemStream, records: u64) -> MemStream {
+    let ack = |stream: &mut MemStream, applied_lsn| {
+        write_frame(stream, &encode_repl(&ReplMsg::Ack { applied_lsn })).expect("ack");
+    };
+    write_frame(
+        &mut stream,
+        &encode_repl(&ReplMsg::Subscribe {
+            epoch: 0,
+            applied_lsn: 0,
+        }),
+    )
+    .expect("subscribe");
+    let mut applied = 0;
+    loop {
+        let payload = read_frame(&mut stream, MAX_FRAME_LEN)
+            .expect("frame")
+            .expect("primary keeps the stream open");
+        match decode_repl(&payload).expect("replication frame") {
+            ReplMsg::SnapshotChunk {
+                next_lsn,
+                last: true,
+                ..
+            } => ack(&mut stream, next_lsn),
+            ReplMsg::SnapshotChunk { .. } => {}
+            ReplMsg::LogRecord { payload, .. } => {
+                let lsn = BulkLogRecord::decode(&payload).expect("record").lsn;
+                applied += 1;
+                ack(&mut stream, lsn + 1);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        if applied == records {
+            return stream;
+        }
+    }
+}
+
+proptest! {
+    /// Shedding is decided by acknowledged lag alone: whatever the socket's
+    /// buffer size and wherever the follower stalls, it is shed at exactly
+    /// the first record that leaves more than `queue_depth` unacknowledged
+    /// — never earlier, and never later because the sender thread could
+    /// still push records into a roomy socket buffer.
+    #[test]
+    fn prop_followers_shed_at_acked_lag_whatever_the_buffer(
+        buffer in 16usize..256 * 1024,
+        acked in 0u64..6,
+        depth in 1usize..6,
+    ) {
+        let bundle = micro(64, 0x5EED);
+        let sigs = micro(64, 0x5EED).generate_signatures(4 * (acked as usize + depth + 1), 0);
+        let builder = EngineBuilder::new(bundle.db.clone(), bundle.registry.clone())
+            .replicate_with(ReplicationOptions {
+                queue_depth: depth,
+                ..ReplicationOptions::default()
+            });
+        let hub = builder.hub().expect("hub");
+        let mut engine = builder.build();
+        let (primary_end, follower_end) = mem_pair(buffer);
+        hub.attach(primary_end).expect("attach");
+        let follower = std::thread::spawn(move || follow_then_stall(follower_end, acked));
+        let deadline = Instant::now() + WAIT;
+        while hub.follower_acks() != [0] {
+            prop_assert!(Instant::now() < deadline, "follower must sync");
+            std::thread::yield_now();
+        }
+        let mut bulks = sigs.chunks(4);
+        let mut commit = |engine: &mut gputx_core::GpuTxEngine| {
+            for sig in bulks.next().expect("enough signatures") {
+                engine.submit(sig.ty, sig.params.clone());
+            }
+            engine.execute_pending().expect("bulk executes");
+        };
+        // In lockstep, the follower applies and acks `acked` records...
+        for lsn in 1..=acked {
+            commit(&mut engine);
+            prop_assert!(hub.wait_acked(lsn, WAIT), "follower acks record {lsn}");
+        }
+        // ...then stalls: nothing it has not acked may pile past `depth`.
+        let stalled = follower.join().expect("follower thread");
+        for unacked in 1..=depth as u64 {
+            commit(&mut engine);
+            prop_assert_eq!(hub.stats().records_shed, 0, "{unacked} unacked of {depth}");
+        }
+        commit(&mut engine);
+        prop_assert_eq!(hub.stats().records_shed, 1, "shed at {} unacked", depth + 1);
+        hub.stop();
+        drop(stalled);
+    }
 }
 
 /// Soak (CI `replication` job runs it with `--ignored`): two followers under
