@@ -30,6 +30,7 @@ use crate::strategy::StrategyKind;
 use gputx_cpu::cost::{trace_cpu_seconds, CPU_DISPATCH_OVERHEAD_NS};
 use gputx_sim::cost::CostModel;
 use gputx_sim::{CpuSpec, ThreadTrace};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 /// Tuning knobs of the [`AdaptiveSelector`].
@@ -117,7 +118,7 @@ pub struct DecisionStats {
     pub last_suggested_bulk_size: usize,
     /// Chosen strategies in decision order, capped at
     /// [`AdaptiveConfig::history_cap`] (oldest dropped first).
-    pub history: Vec<StrategyKind>,
+    pub history: VecDeque<StrategyKind>,
 }
 
 impl DecisionStats {
@@ -161,9 +162,9 @@ impl DecisionStats {
         }
         self.last_suggested_bulk_size = decision.suggested_bulk_size;
         if self.history.len() >= cap.max(1) {
-            self.history.remove(0);
+            self.history.pop_front();
         }
-        self.history.push(decision.strategy);
+        self.history.push_back(decision.strategy);
     }
 }
 
@@ -513,6 +514,37 @@ mod tests {
         let stats = s.stats_handle().snapshot();
         assert_eq!(stats.history.len(), 4);
         assert_eq!(stats.total(), 10);
+    }
+
+    #[test]
+    fn history_ring_keeps_the_newest_decisions_past_its_cap() {
+        let mut s = AdaptiveSelector::new(
+            &EngineConfig::default(),
+            AdaptiveConfig {
+                history_cap: 3,
+                ..AdaptiveConfig::default()
+            },
+        );
+        let kset = profile(8192, 0, 8192, 0, 8192);
+        let tpl = profile(4096, 4095, 1, 0, 1);
+        let handle = s.stats_handle();
+        for p in [&kset, &tpl, &kset] {
+            s.decide(p);
+        }
+        let at_cap = handle.snapshot().history;
+        assert_eq!(
+            at_cap,
+            [StrategyKind::Kset, StrategyKind::Tpl, StrategyKind::Kset]
+        );
+        for p in [&tpl, &tpl, &kset, &tpl] {
+            s.decide(p);
+        }
+        let stats = handle.snapshot();
+        assert_eq!(stats.total(), 7);
+        assert_eq!(
+            stats.history,
+            [StrategyKind::Tpl, StrategyKind::Kset, StrategyKind::Tpl]
+        );
     }
 
     #[test]

@@ -176,10 +176,9 @@ impl Database {
 
     /// Insert a row and update every index of the table. Returns the row id.
     pub fn insert_indexed(&mut self, table: TableId, row: Vec<Value>) -> RowId {
-        let row_id = self.tables[table as usize].insert(row.clone());
+        let row_id = self.tables[table as usize].push_row(&row);
         for idx in &mut self.indexes[table as usize] {
-            let key = idx.key_of(&row);
-            idx.insert(key, row_id)
+            idx.insert(idx.key_of(&row), row_id)
                 .unwrap_or_else(|e| panic!("index {} on table {}: {e}", idx.name, table));
         }
         row_id
@@ -221,14 +220,12 @@ impl Database {
     /// step of §3.2), maintaining indexes for the newly visible rows.
     pub fn apply_insert_buffers(&mut self) {
         for t in 0..self.tables.len() {
-            let new_rows = self.tables[t].apply_insert_buffer();
-            for row_id in new_rows {
-                let row = self.tables[t].get_row(row_id);
+            for (_, row) in self.tables[t].take_insert_buffer() {
+                let row_id = self.tables[t].push_row(&row);
                 for idx in &mut self.indexes[t] {
-                    let key = idx.key_of(&row);
                     // Buffered inserts from aborted transactions were already
                     // discarded, so duplicates here are programming errors.
-                    idx.insert(key, row_id)
+                    idx.insert(idx.key_of(&row), row_id)
                         .unwrap_or_else(|e| panic!("index {}: {e}", idx.name));
                 }
             }
@@ -262,7 +259,7 @@ impl Database {
         for (t, table) in self.tables.iter().enumerate() {
             let id = out.create_table(table.schema().clone());
             for idx in &self.indexes[t] {
-                out.create_index(id, idx.name.clone(), idx.columns.clone(), idx.unique);
+                out.create_index(id, idx.name.clone(), idx.columns.clone(), idx.is_unique());
             }
             for row in table.live_rows() {
                 out.insert_indexed(id, table.get_row(row));

@@ -144,13 +144,19 @@ impl Table {
     /// Insert a row immediately (used for initial data loading) and return its
     /// row id.
     pub fn insert(&mut self, row: Vec<Value>) -> RowId {
+        self.push_row(&row)
+    }
+
+    /// [`Table::insert`] from a borrowed row, for callers that still need
+    /// the row afterwards (the catalog builds index keys from it).
+    pub(crate) fn push_row(&mut self, row: &[Value]) -> RowId {
         self.schema
-            .validate_row(&row)
+            .validate_row(row)
             .unwrap_or_else(|e| panic!("{e}"));
         let id = self.num_rows() as RowId;
         match &mut self.data {
-            TableData::Column(c) => c.push_row(&row),
-            TableData::Row(r) => r.push_row(&row),
+            TableData::Column(c) => c.push_row(row),
+            TableData::Row(r) => r.push_row(row),
         }
         self.deleted.push(false);
         id
@@ -184,9 +190,18 @@ impl Table {
     /// Apply the insert buffer as a batched update in ascending tag
     /// (timestamp) order, returning the row ids assigned to the buffered rows.
     pub fn apply_insert_buffer(&mut self) -> Vec<RowId> {
-        let mut rows: Vec<(u64, Vec<Value>)> = std::mem::take(&mut self.insert_buffer);
+        self.take_insert_buffer()
+            .into_iter()
+            .map(|(_, r)| self.insert(r))
+            .collect()
+    }
+
+    /// Empty the insert buffer, returning its rows in ascending tag order:
+    /// the order [`Table::apply_insert_buffer`] inserts them in.
+    pub(crate) fn take_insert_buffer(&mut self) -> Vec<(u64, Vec<Value>)> {
+        let mut rows = std::mem::take(&mut self.insert_buffer);
         rows.sort_by_key(|(tag, _)| *tag);
-        rows.into_iter().map(|(_, r)| self.insert(r)).collect()
+        rows
     }
 
     /// Discard the insert buffer (used when a bulk aborts before applying it).
