@@ -9,10 +9,11 @@
 //!
 //! * [`session`] — the [`AnalyticsSession`] an engine publishes committed
 //!   bulk records into ([`EngineBuilder::analytics`] in `gputx-core` wires it
-//!   to the group-commit point). Update propagation replays each record into
-//!   a private mirror database — the exact redo path crash recovery and
-//!   replication use — and marks which copy-on-write chunks the record
-//!   touched.
+//!   to the publish half of the engine's commit chain). Update propagation
+//!   replays each record into a mirror database — the exact redo path crash
+//!   recovery and replication use, and the replication hub's own mirror when
+//!   the engine also replicates — and marks which copy-on-write chunks the
+//!   record touched.
 //! * [`store`] — the chunked snapshot store behind the session: per-column
 //!   `Arc`'d chunks rebuilt lazily (only dirty chunks, only when a snapshot
 //!   is cut), so cut cost is proportional to data churned since the last

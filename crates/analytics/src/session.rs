@@ -8,18 +8,21 @@
 //! call [`snapshot`](AnalyticsSession::snapshot) whenever they want a fresh
 //! consistent cut.
 //!
-//! Update propagation (`publish`) runs inline at the group-commit point and
-//! only replays the redo record into the mirror plus marks dirty chunks;
-//! the chunk rebuild cost is paid by the *scanner* at cut time. Because the
-//! session is an `Arc` shared by engine and scanners, it — and every
-//! snapshot cut from it — outlives engine shutdown.
+//! Update propagation (`publish`) runs in the engine's commit stage, after
+//! the bulk's tickets resolve, and only replays the redo record into the
+//! mirror plus marks dirty chunks; the chunk rebuild cost is paid by the
+//! *scanner* at cut time. When the engine also replicates, the session
+//! shares the replication hub's mirror ([`AnalyticsSession::with_mirror`]),
+//! so the hub's replay is the session's. Because the session is an `Arc`
+//! shared by engine and scanners, it — and every snapshot cut from it —
+//! outlives engine shutdown.
 
 use crate::snapshot::SnapshotHandle;
 use crate::store::{SnapshotStore, StoreStats, DEFAULT_CHUNK_ROWS};
-use gputx_durability::BulkLogRecord;
+use gputx_durability::{BulkLogRecord, SharedMirror};
 use gputx_storage::Database;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Tuning knobs for an [`AnalyticsSession`].
 #[derive(Debug, Clone)]
@@ -89,7 +92,10 @@ impl From<StoreStats> for AnalyticsStats {
 
 struct Shared {
     store: Mutex<SnapshotStore>,
-    applied: Condvar,
+    /// The store's mirror, reachable without the store lock: publishing
+    /// and progress queries never wait behind a snapshot cut's refresh
+    /// beyond the mirror lock itself.
+    mirror: SharedMirror,
 }
 
 /// Cloneable endpoint connecting one engine (publisher) to any number of
@@ -113,67 +119,59 @@ impl AnalyticsSession {
         Self::with_config(seed, AnalyticsConfig::default())
     }
 
-    /// Session with explicit configuration over a starting database state.
+    /// Session with explicit configuration over a private mirror of a
+    /// starting database state.
     pub fn with_config(seed: &Database, config: AnalyticsConfig) -> Self {
+        Self::with_mirror(SharedMirror::new(seed), config)
+    }
+
+    /// Session cutting snapshots from an existing mirror — the one a
+    /// replication hub replays into, so the engine holds and replays its
+    /// committed state once for both consumers. Records then reach the
+    /// session through whoever publishes into the mirror; publish each
+    /// record through exactly one of the mirror's consumers.
+    pub fn with_mirror(mirror: SharedMirror, config: AnalyticsConfig) -> Self {
+        let store = SnapshotStore::over(mirror.clone(), config.chunk_rows, config.retain_records);
         AnalyticsSession {
             shared: Arc::new(Shared {
-                store: Mutex::new(SnapshotStore::new(
-                    seed,
-                    config.chunk_rows,
-                    config.retain_records,
-                )),
-                applied: Condvar::new(),
+                store: Mutex::new(store),
+                mirror,
             }),
         }
     }
 
-    /// Fold one committed bulk record into the session. Called by the
-    /// engine's commit stage, in commit order.
+    /// The mirror this session cuts snapshots from.
+    pub fn mirror(&self) -> &SharedMirror {
+        &self.shared.mirror
+    }
+
+    /// Fold one committed bulk record into the session. Called in commit
+    /// order; copies the record (see [`publish_owned`](Self::publish_owned)).
     pub fn publish(&self, record: &BulkLogRecord) {
-        let mut store = self.shared.store.lock().expect("analytics store poisoned");
-        store.apply(record);
-        self.shared.applied.notify_all();
+        self.publish_owned(record.clone());
+    }
+
+    /// [`publish`](Self::publish) by value: the record is replayed into the
+    /// mirror without a copy.
+    pub fn publish_owned(&self, record: BulkLogRecord) {
+        self.shared.mirror.apply(record);
     }
 
     /// The LSN the next published record should carry, when this session is
     /// the engine's only log consumer.
     pub fn next_lsn(&self) -> u64 {
-        self.shared
-            .store
-            .lock()
-            .expect("analytics store poisoned")
-            .next_lsn()
+        self.shared.mirror.lock().next_lsn()
     }
 
     /// Committed bulk records folded in so far.
     pub fn records_applied(&self) -> u64 {
-        self.shared
-            .store
-            .lock()
-            .expect("analytics store poisoned")
-            .records_applied()
+        self.shared.mirror.lock().records_applied()
     }
 
     /// Block until at least `records` bulk records have been folded in.
     /// Returns `false` on timeout.
     pub fn wait_applied(&self, records: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut store = self.shared.store.lock().expect("analytics store poisoned");
-        while store.records_applied() < records {
-            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-                return false;
-            };
-            let (guard, result) = self
-                .shared
-                .applied
-                .wait_timeout(store, left)
-                .expect("analytics store poisoned");
-            store = guard;
-            if result.timed_out() && store.records_applied() < records {
-                return false;
-            }
-        }
-        true
+        self.shared.mirror.wait_applied(records, timeout)
     }
 
     /// Cut a consistent snapshot of the committed prefix right now.
@@ -200,10 +198,9 @@ impl AnalyticsSession {
     /// these serially to prove snapshot consistency.
     pub fn retained_records(&self) -> Vec<BulkLogRecord> {
         self.shared
-            .store
-            .lock()
-            .expect("analytics store poisoned")
+            .mirror
             .retained_records()
+            .expect("retain_records not enabled on this session")
     }
 
     /// Serially replay the first `records` retained records onto a clone of

@@ -2,15 +2,16 @@
 //!
 //! The store separates *update propagation* from *snapshot cutting*:
 //!
-//! 1. [`SnapshotStore::apply`] folds one committed [`BulkLogRecord`] into a
-//!    private mirror [`Database`] via the same
-//!    [`replay_into`](BulkLogRecord::replay_into) path crash recovery and
-//!    replication use, and marks the copy-on-write chunks the record's
-//!    write-set touched. This runs at the engine's group-commit point and is
-//!    cheap: a redo replay plus hash-set inserts.
+//! 1. Update propagation is the [`SharedMirror`]'s replay: each committed
+//!    [`BulkLogRecord`] is replayed into the mirror [`Database`] through the
+//!    same [`replay_into`](BulkLogRecord::replay_into) path crash recovery
+//!    and replication use, and the copy-on-write chunks its write-set
+//!    touched are marked under the same lock. When the engine also
+//!    replicates, the mirror is the replication hub's: one replay feeds
+//!    both consumers.
 //! 2. [`SnapshotStore::freeze`] (called by a scanner, off the commit path)
 //!    first refreshes the chunk cache — rebuilding *only* chunks that are
-//!    dirty or extend past the previously frozen row count — then hands out
+//!    marked or extend past the previously frozen row count — then hands out
 //!    a [`SnapshotHandle`] sharing every chunk by `Arc`. Cut cost is
 //!    proportional to data churned since the last cut, not to database size.
 //!
@@ -22,23 +23,13 @@
 //! of the next refresh.
 
 use crate::snapshot::{ColChunk, FrozenTable, FrozenView, SnapshotHandle};
-use gputx_durability::BulkLogRecord;
-use gputx_storage::shard::FxHashSet;
+use gputx_durability::{BulkLogRecord, SharedMirror};
 use gputx_storage::{DataType, Database, RowId, Table};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Default rows per copy-on-write chunk (and per scan block).
 pub const DEFAULT_CHUNK_ROWS: usize = 1024;
-
-/// Dirty state accumulated for one table since the last refresh.
-#[derive(Debug, Default)]
-struct TableDirty {
-    /// `(col, chunk)` pairs whose data chunk must be rebuilt.
-    cells: FxHashSet<(u32, usize)>,
-    /// Chunk indexes whose live-flag chunk must be rebuilt.
-    live: FxHashSet<usize>,
-}
 
 /// Counters describing the work the store has done. Snapshot-cut cost is
 /// what the HTAP experiment reports; the rebuild counter is what the unit
@@ -51,7 +42,7 @@ pub struct StoreStats {
     pub snapshots: u64,
     /// Column/live chunks rebuilt across all refreshes.
     pub chunks_rebuilt: u64,
-    /// Cumulative update-propagation time (mirror replay + dirty marking).
+    /// Cumulative update-propagation time (mirror replay + chunk marking).
     pub apply_nanos: u64,
     /// Cumulative chunk-rebuild time across all snapshot cuts.
     pub refresh_nanos: u64,
@@ -59,42 +50,44 @@ pub struct StoreStats {
     pub last_cut_nanos: u64,
 }
 
-/// Mirror database + chunked COW cache + dirty tracking. Owned by
+/// Chunked COW cache over a [`SharedMirror`]. Owned by
 /// [`AnalyticsSession`](crate::session::AnalyticsSession) behind a mutex;
 /// exposed for direct use in tests and single-threaded tools.
 #[derive(Debug)]
 pub struct SnapshotStore {
     chunk_rows: usize,
-    mirror: Database,
+    mirror: SharedMirror,
     frozen: Vec<FrozenTable>,
-    dirty: Vec<TableDirty>,
-    records_applied: u64,
-    last_lsn: Option<u64>,
-    retained: Option<Vec<BulkLogRecord>>,
     stats: StoreStats,
 }
 
 impl SnapshotStore {
-    /// Build a store over a starting database state (bulk count zero).
+    /// Build a store over a private mirror of a starting database state
+    /// (bulk count zero).
     ///
     /// `retain_records` keeps a copy of every applied record so a verifier
     /// can replay the same committed prefix serially (see
     /// [`retained_records`](Self::retained_records)).
     pub fn new(seed: &Database, chunk_rows: usize, retain_records: bool) -> Self {
+        Self::over(SharedMirror::new(seed), chunk_rows, retain_records)
+    }
+
+    /// Build a store over an existing mirror (typically one a replication
+    /// hub replays into), turning on its chunk marking.
+    pub fn over(mirror: SharedMirror, chunk_rows: usize, retain_records: bool) -> Self {
         assert!(chunk_rows > 0, "chunk_rows must be positive");
-        let mut store = SnapshotStore {
+        mirror.track_chunks(chunk_rows);
+        if retain_records {
+            mirror.retain_records();
+        }
+        // The chunk cache starts empty: the first cut builds every chunk,
+        // so a session nobody scans holds no columnar copy of the data.
+        SnapshotStore {
             chunk_rows,
-            mirror: seed.clone(),
+            mirror,
             frozen: Vec::new(),
-            dirty: Vec::new(),
-            records_applied: 0,
-            last_lsn: None,
-            retained: retain_records.then(Vec::new),
             stats: StoreStats::default(),
-        };
-        store.sync_table_lists();
-        store.refresh();
-        store
+        }
     }
 
     /// Rows per chunk.
@@ -104,55 +97,37 @@ impl SnapshotStore {
 
     /// Committed bulk records folded in so far.
     pub fn records_applied(&self) -> u64 {
-        self.records_applied
+        self.mirror.lock().records_applied()
     }
 
     /// The LSN the *next* published record is expected to carry, used when
     /// the analytics session is the engine's only log consumer.
     pub fn next_lsn(&self) -> u64 {
-        self.last_lsn.map_or(self.records_applied, |l| l + 1)
+        self.mirror.lock().next_lsn()
     }
 
     /// Work counters.
     pub fn stats(&self) -> StoreStats {
-        self.stats.clone()
+        let m = self.mirror.lock();
+        StoreStats {
+            records_applied: m.records_applied(),
+            apply_nanos: m.apply_nanos(),
+            ..self.stats.clone()
+        }
     }
 
     /// Copies of every record applied so far (requires `retain_records`).
     pub fn retained_records(&self) -> Vec<BulkLogRecord> {
-        self.retained
-            .as_ref()
+        self.mirror
+            .retained_records()
             .expect("retain_records not enabled on this store")
-            .clone()
     }
 
     /// Fold one committed bulk record into the mirror and mark the chunks it
     /// dirtied. Must be called in commit order — the engine's group-commit
     /// point guarantees that.
     pub fn apply(&mut self, record: &BulkLogRecord) {
-        let t0 = Instant::now();
-        self.sync_table_lists();
-        // Mark dirty chunks from the write-set BEFORE replaying: replay
-        // consumes (drains) the record's delta, so it works on a clone.
-        let chunk_rows = self.chunk_rows;
-        record.write_set.for_each_updated_field(|table, row, col| {
-            self.dirty[table as usize]
-                .cells
-                .insert((col, row as usize / chunk_rows));
-        });
-        record.write_set.for_each_delete_flag(|table, row, _live| {
-            self.dirty[table as usize]
-                .live
-                .insert(row as usize / chunk_rows);
-        });
-        if let Some(kept) = self.retained.as_mut() {
-            kept.push(record.clone());
-        }
-        record.clone().replay_into(&mut self.mirror);
-        self.records_applied += 1;
-        self.last_lsn = Some(record.lsn);
-        self.stats.records_applied = self.records_applied;
-        self.stats.apply_nanos += t0.elapsed().as_nanos() as u64;
+        self.mirror.apply(record.clone());
     }
 
     /// Cut a consistent snapshot of the current committed prefix: refresh
@@ -160,12 +135,12 @@ impl SnapshotStore {
     /// shared `Arc` chunks.
     pub fn freeze(&mut self) -> SnapshotHandle {
         let t0 = Instant::now();
-        self.refresh();
+        let (records_applied, last_lsn) = self.refresh();
         let handle = SnapshotHandle::new(FrozenView {
             tables: self.frozen.clone(),
             chunk_rows: self.chunk_rows,
-            records_applied: self.records_applied,
-            last_lsn: self.last_lsn,
+            records_applied,
+            last_lsn,
         });
         self.stats.snapshots += 1;
         self.stats.last_cut_nanos = t0.elapsed().as_nanos() as u64;
@@ -175,36 +150,37 @@ impl SnapshotStore {
     /// A full copy of the mirror database — the committed prefix in its
     /// native representation. Used by tests as a serial-replay reference.
     pub fn mirror_clone(&self) -> Database {
-        self.mirror.clone()
+        self.mirror.lock().db().clone()
     }
 
-    fn sync_table_lists(&mut self) {
-        while self.frozen.len() < self.mirror.num_tables() {
-            let tbl = self.mirror.table(self.frozen.len() as u32);
+    /// Rebuild exactly the chunks invalidated since the last refresh: chunks
+    /// marked by the mirror's replay and chunks extending past the
+    /// previously frozen row count (appended rows, including the old partial
+    /// tail chunk). Runs under the mirror lock, so the data and its marks
+    /// are read at the same record boundary; returns that boundary's
+    /// `(records_applied, last_lsn)`.
+    fn refresh(&mut self) -> (u64, Option<u64>) {
+        let t0 = Instant::now();
+        let mut guard = self.mirror.lock();
+        let boundary = (guard.records_applied(), guard.last_lsn());
+        let (db, marks) = guard.db_and_marks();
+        let marks = marks.expect("the store turned chunk marking on");
+        while self.frozen.len() < db.num_tables() {
+            let tbl = db.table(self.frozen.len() as u32);
             self.frozen.push(FrozenTable {
                 name: tbl.schema().name.clone(),
                 rows: 0,
                 cols: vec![Vec::new(); tbl.schema().num_columns()],
                 live: Vec::new(),
             });
-            self.dirty.push(TableDirty::default());
         }
-    }
-
-    /// Rebuild exactly the chunks invalidated since the last refresh: chunks
-    /// marked dirty by [`apply`](Self::apply) and chunks extending past the
-    /// previously frozen row count (appended rows, including the old partial
-    /// tail chunk).
-    fn refresh(&mut self) {
-        let t0 = Instant::now();
-        self.sync_table_lists();
         let mut rebuilt = 0u64;
         for t in 0..self.frozen.len() {
-            let tbl = self.mirror.table(t as u32);
+            let tbl = db.table(t as u32);
             let frozen = &mut self.frozen[t];
-            let dirty = &mut self.dirty[t];
+            let dirty = marks.table(t as u32);
             let rows = tbl.num_rows();
-            if rows == frozen.rows && dirty.cells.is_empty() && dirty.live.is_empty() {
+            if rows == frozen.rows && dirty.is_empty() {
                 continue;
             }
             let nchunks = rows.div_ceil(self.chunk_rows);
@@ -242,11 +218,12 @@ impl SnapshotStore {
             }
             frozen.live = live;
             frozen.rows = rows;
-            dirty.cells.clear();
-            dirty.live.clear();
+            dirty.clear();
         }
+        drop(guard);
         self.stats.chunks_rebuilt += rebuilt;
         self.stats.refresh_nanos += t0.elapsed().as_nanos() as u64;
+        boundary
     }
 }
 

@@ -26,7 +26,7 @@ use crate::engine::GpuTxEngine;
 use crate::pipeline::PipelinedGpuTx;
 use gputx_analytics::{AnalyticsConfig, AnalyticsSession};
 use gputx_cpu::CpuEngine;
-use gputx_durability::DurabilityConfig;
+use gputx_durability::{DurabilityConfig, SharedMirror};
 use gputx_exec::ExecutorChoice;
 use gputx_replication::{PrimaryHub, Promotion, ReplicationOptions};
 use gputx_sim::CpuSpec;
@@ -50,6 +50,9 @@ pub struct EngineBuilder {
     pipeline: PipelineConfig,
     replication: Option<PrimaryHub>,
     analytics: Option<AnalyticsSession>,
+    /// The mirror the hub and the session replay into, created from `db`
+    /// by whichever of them is attached first and shared by both.
+    mirror: Option<SharedMirror>,
     /// Epoch the hub must start under when this builder continues a promoted
     /// replica (`None` = mint a fresh epoch).
     epoch_seed: Option<u64>,
@@ -72,6 +75,7 @@ impl EngineBuilder {
             pipeline: PipelineConfig::default(),
             replication: None,
             analytics: None,
+            mirror: None,
             epoch_seed: None,
             faults: None,
             heal_policy: gputx_faults::HealPolicy::default(),
@@ -232,8 +236,7 @@ impl EngineBuilder {
         self
     }
 
-    /// The health surface the built engine updates at its group-commit
-    /// point. Clone it before building and hand it to
+    /// The health surface the built engine's commit chain updates. Clone it before building and hand it to
     /// `Server::serve_health` to answer wire `Health` requests.
     pub fn health(&self) -> gputx_faults::Health {
         self.health.clone()
@@ -255,12 +258,19 @@ impl EngineBuilder {
     /// [`from_promotion`](EngineBuilder::from_promotion) the hub starts under
     /// the promotion's epoch.
     pub fn replicate_with(mut self, opts: ReplicationOptions) -> Self {
-        let hub = match self.epoch_seed {
-            Some(epoch) => PrimaryHub::with_epoch(&self.db, epoch, opts),
-            None => PrimaryHub::with_epoch(&self.db, gputx_durability::fresh_epoch(), opts),
-        };
-        self.replication = Some(hub);
+        let epoch = self
+            .epoch_seed
+            .unwrap_or_else(gputx_durability::fresh_epoch);
+        self.replication = Some(PrimaryHub::with_mirror(self.mirror(), epoch, opts));
         self
+    }
+
+    /// The mirror shared by the hub and the analytics session, seeded from
+    /// the builder's database on first use.
+    fn mirror(&mut self) -> SharedMirror {
+        self.mirror
+            .get_or_insert_with(|| SharedMirror::new(&self.db))
+            .clone()
     }
 
     /// The replication hub created by [`replicate`](EngineBuilder::replicate)
@@ -287,11 +297,15 @@ impl EngineBuilder {
     /// Like [`replicate`](EngineBuilder::replicate), the session binds to
     /// the *initial* database state: its mirror is seeded **now**, from this
     /// builder's database, so engine and mirror can never start from
-    /// different states. Grab the scanner-side handle with
+    /// different states. With [`replicate`](EngineBuilder::replicate) as
+    /// well, the session and the hub share one mirror: each record is
+    /// replayed once and the committed state is held once. Records reach the
+    /// session in the engine's commit stage, after their tickets resolve;
+    /// `flush` on the streaming engine waits for them. Grab the scanner-side handle with
     /// [`analytics_session`](EngineBuilder::analytics_session) before
     /// building.
     pub fn analytics_with(mut self, config: AnalyticsConfig) -> Self {
-        self.analytics = Some(AnalyticsSession::with_config(&self.db, config));
+        self.analytics = Some(AnalyticsSession::with_mirror(self.mirror(), config));
         self
     }
 
@@ -313,7 +327,7 @@ impl EngineBuilder {
             self.config,
             self.replication,
             self.analytics,
-            crate::pipeline::RobustnessParts {
+            crate::commit::RobustnessParts {
                 faults: self.faults,
                 heal_policy: self.heal_policy,
                 health: self.health,
@@ -331,7 +345,7 @@ impl EngineBuilder {
             self.pipeline,
             self.replication,
             self.analytics,
-            crate::pipeline::RobustnessParts {
+            crate::commit::RobustnessParts {
                 faults: self.faults,
                 heal_policy: self.heal_policy,
                 health: self.health,

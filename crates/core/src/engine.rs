@@ -9,12 +9,13 @@
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveSelector, DecisionStats};
 use crate::bulk::{Bulk, BulkReport};
+use crate::commit::{CommitChain, RobustnessParts};
 use crate::config::{EngineConfig, PipelineConfig, StrategyChoice};
 use crate::pipeline::PipelinedGpuTx;
 use crate::profiler::{profile_bulk, BulkProfile};
 use crate::select::choose_strategy;
 use crate::strategy::{execute_bulk, ExecContext, StrategyKind};
-use gputx_durability::{Durability, DurabilityStats};
+use gputx_durability::DurabilityStats;
 use gputx_sim::{Gpu, SimDuration, Throughput};
 use gputx_storage::{Database, Value};
 use gputx_txn::{ProcedureRegistry, TransactionPool, TxnId, TxnOutcome, TxnTypeId};
@@ -39,25 +40,11 @@ pub struct GpuTxEngine {
     reports: Vec<BulkReport>,
     results: Vec<TxnResult>,
     load_time: SimDuration,
-    /// Redo logging, when `config.durability` names a directory: each
-    /// committed bulk appends one record; `checkpoint` snapshots and
-    /// truncates.
-    durability: Option<Durability>,
-    /// Log shipping, when this engine is a replication primary (see
-    /// `EngineBuilder::replicate`): each committed bulk's redo record is
-    /// published to the hub after the local WAL append.
-    replication: Option<gputx_replication::PrimaryHub>,
-    /// HTAP read path, when this engine feeds an analytics session (see
-    /// `EngineBuilder::analytics`): each committed bulk's redo record is
-    /// published into the session's snapshot store, last in the consumer
-    /// chain (after WAL append and replication).
-    analytics: Option<gputx_analytics::AnalyticsSession>,
-    /// Supervised-heal policy for a poisoned WAL writer.
-    heal_policy: gputx_faults::HealPolicy,
-    /// Automatic heals still allowed before degrading.
-    heals_left: u32,
-    /// Shared health surface updated at the group-commit point.
-    health: gputx_faults::Health,
+    /// The group-commit chain: redo logging when `config.durability` names
+    /// a directory (each committed bulk appends one record; `checkpoint`
+    /// snapshots and truncates), then publishing to the replication hub
+    /// and the analytics session, if attached.
+    chain: CommitChain,
     /// Cost-model strategy selector, present under
     /// `StrategyChoice::Adaptive`. The one-shot engine applies its strategy
     /// decisions but keeps `config.bulk_size` bulk boundaries — sizing
@@ -78,14 +65,7 @@ impl GpuTxEngine {
     /// dropped its durability guarantee would be worse than one that refuses
     /// to start.
     pub fn new(db: Database, registry: ProcedureRegistry, config: EngineConfig) -> Self {
-        Self::with_parts(
-            db,
-            registry,
-            config,
-            None,
-            None,
-            crate::pipeline::RobustnessParts::default(),
-        )
+        Self::with_parts(db, registry, config, None, None, RobustnessParts::default())
     }
 
     /// [`GpuTxEngine::new`] plus an optional replication hub and analytics
@@ -98,36 +78,11 @@ impl GpuTxEngine {
         config: EngineConfig,
         replication: Option<gputx_replication::PrimaryHub>,
         analytics: Option<gputx_analytics::AnalyticsSession>,
-        robustness: crate::pipeline::RobustnessParts,
+        robustness: RobustnessParts,
     ) -> Self {
         let mut gpu = Gpu::new(config.device.clone());
         let load_time = db.load_to_device(&mut gpu);
-        let mut durability = Durability::from_config(&config.durability, &db)
-            .unwrap_or_else(|e| panic!("cannot initialize durability: {e}"));
-        let crate::pipeline::RobustnessParts {
-            faults,
-            heal_policy,
-            health,
-        } = robustness;
-        if let Some(injector) = faults.as_ref() {
-            if let Some(d) = durability.as_mut() {
-                d.set_faults(injector);
-            }
-            health.attach_injector(injector.clone());
-        }
-        health.set_wal(if durability.is_some() {
-            gputx_faults::WalState::Healthy
-        } else {
-            gputx_faults::WalState::Disabled
-        });
-        // Keep WAL and stream numbering in lockstep: a fresh WAL starts at
-        // LSN 0, so a hub that already shipped records restarts its stream
-        // (new epoch, followers resync).
-        if durability.is_some() {
-            if let Some(hub) = replication.as_ref().filter(|h| h.next_lsn() != 0) {
-                hub.rotate_epoch();
-            }
-        }
+        let chain = CommitChain::new(&config, &db, replication, analytics, robustness);
         let selector = matches!(config.strategy, StrategyChoice::Adaptive).then(|| {
             AdaptiveSelector::new(
                 &config,
@@ -146,12 +101,7 @@ impl GpuTxEngine {
             reports: Vec::new(),
             results: Vec::new(),
             load_time,
-            durability,
-            replication,
-            analytics,
-            heals_left: heal_policy.heal_budget,
-            heal_policy,
-            health,
+            chain,
             selector,
         }
     }
@@ -159,7 +109,7 @@ impl GpuTxEngine {
     /// The engine's shared health surface (WAL state including automatic
     /// heals and degradation, replication progress, fault-plane activity).
     pub fn health(&self) -> gputx_faults::Health {
-        self.health.clone()
+        self.chain.health().clone()
     }
 
     /// Submit a transaction (`Execute procedure_name(parameters)`); returns
@@ -209,8 +159,12 @@ impl GpuTxEngine {
 
     /// Generate and execute one bulk with an explicit strategy. With
     /// durability enabled, the bulk's redo record is appended (and fsynced
-    /// per policy) before this returns — the group-commit point of the
-    /// one-shot engine.
+    /// per policy) and then published to the hub and analytics session
+    /// before this returns — the commit chain of the one-shot engine.
+    ///
+    /// Panics when the WAL append fails with the heal budget spent and
+    /// `writes_when_degraded` off: the one-shot API has no per-bulk error
+    /// to report it through.
     pub fn execute_pending_with(&mut self, strategy: StrategyKind) -> Option<BulkReport> {
         if self.pool.is_empty() {
             return None;
@@ -219,9 +173,10 @@ impl GpuTxEngine {
         let bulk = Bulk::new(sigs);
         // Arm dirty-field tracking so the bulk's physical writes can be read
         // back into its redo record after commit.
-        let capture =
-            (self.durability.is_some() || self.replication.is_some() || self.analytics.is_some())
-                .then(|| gputx_durability::WriteCapture::begin(&mut self.db));
+        let capture = self
+            .chain
+            .captures()
+            .then(|| gputx_durability::WriteCapture::begin(&mut self.db));
         let mut ctx = ExecContext {
             gpu: &mut self.gpu,
             db: &mut self.db,
@@ -230,51 +185,11 @@ impl GpuTxEngine {
         };
         let outcome = execute_bulk(&mut ctx, strategy, &bulk);
         if let Some(capture) = capture {
-            // One redo record serves the local WAL and the replication hub;
-            // the local append comes first so followers never hold a record
-            // the primary did not log.
-            let lsn = match (&self.durability, &self.replication, &self.analytics) {
-                (Some(d), _, _) => d.next_lsn(),
-                (None, Some(hub), _) => hub.next_lsn(),
-                (None, None, Some(session)) => session.next_lsn(),
-                (None, None, None) => unreachable!("capture exists only with a consumer"),
-            };
-            let record = gputx_durability::BulkLogRecord {
-                lsn,
-                write_set: capture.finish(&mut self.db),
-            };
-            if let Some(durability) = self.durability.as_mut() {
-                if durability.append_record(&record).is_err() {
-                    // Supervised heal, mirroring the pipelined runner: the
-                    // bulk's effects are already in `db`, so a fresh
-                    // checkpoint absorbs the record that never landed.
-                    let mut healed = false;
-                    while self.heals_left > 0 {
-                        self.heals_left -= 1;
-                        if durability.heal(&self.db, 1).is_ok() {
-                            self.health.record_heal();
-                            healed = true;
-                            break;
-                        }
-                    }
-                    if !healed {
-                        self.health.set_wal(gputx_faults::WalState::Degraded);
-                        assert!(
-                            self.heal_policy.writes_when_degraded,
-                            "durability log append failed and the heal budget \
-                             is exhausted (writes_when_degraded = false)"
-                        );
-                        // Log superseded; serve on, unlogged.
-                        self.durability = None;
-                    }
-                }
-            }
-            if let Some(hub) = self.replication.as_ref() {
-                hub.publish(&record);
-            }
-            if let Some(session) = self.analytics.as_ref() {
-                session.publish(&record);
-            }
+            let record = self
+                .chain
+                .log(capture, &mut self.db)
+                .unwrap_or_else(|e| panic!("{e}"));
+            self.chain.publisher().publish(record);
         }
         for (id, o) in &outcome.outcomes {
             self.results.push(TxnResult {
@@ -358,7 +273,7 @@ impl GpuTxEngine {
     /// is disabled; panics on I/O failure (like the logging path, a silently
     /// dropped snapshot would forfeit the durability guarantee).
     pub fn checkpoint(&mut self) -> bool {
-        match self.durability.as_mut() {
+        match self.chain.durability_mut() {
             Some(durability) => {
                 durability
                     .checkpoint(&self.db)
@@ -372,7 +287,7 @@ impl GpuTxEngine {
     /// Durability cost accounting (records, bytes, fsyncs, logging seconds);
     /// `None` when durability is disabled.
     pub fn durability_stats(&self) -> Option<DurabilityStats> {
-        self.durability.as_ref().map(|d| d.stats())
+        self.chain.durability().map(|d| d.stats())
     }
 
     /// Convert this one-shot engine into the streaming
@@ -386,11 +301,10 @@ impl GpuTxEngine {
     )]
     pub fn into_pipelined(mut self, pipeline: PipelineConfig) -> PipelinedGpuTx {
         let pending = self.pool.drain_all();
-        // Release this engine's log writer before the pipeline re-initializes
-        // the same durability directory (fresh checkpoint + truncated log).
-        drop(self.durability.take());
-        let replication = self.replication.take();
-        let analytics = self.analytics.take();
+        // Taking the chain apart releases this engine's log writer before
+        // the pipeline re-initializes the same durability directory (fresh
+        // checkpoint + truncated log).
+        let (replication, analytics, heal_policy, health) = self.chain.into_parts();
         let streaming = PipelinedGpuTx::with_parts(
             self.db,
             self.registry,
@@ -398,10 +312,10 @@ impl GpuTxEngine {
             pipeline,
             replication,
             analytics,
-            crate::pipeline::RobustnessParts {
+            RobustnessParts {
                 faults: None,
-                heal_policy: self.heal_policy,
-                health: self.health,
+                heal_policy,
+                health,
             },
         );
         for sig in pending {

@@ -18,14 +18,15 @@
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveSelector, DecisionStats, DecisionStatsHandle};
 use crate::bulk::Bulk;
+use crate::commit::{CommitChain, RobustnessParts};
 use crate::config::{EngineConfig, PipelineConfig, StrategyChoice};
 use crate::profiler::profile_bulk;
 use crate::select::choose_strategy;
 use crate::strategy::{execute_bulk, ExecContext, StrategyKind};
-use gputx_durability::{BulkLogRecord, Durability};
 use gputx_exec::{
-    run_txn_planned, BulkPlanner, BulkRunner, BulkSizeKnob, ExecError, ExecPolicy, Executor,
-    PipelineError, PipelineOptions, PipelineStats, PipelinedEngine, SubmitHandle, Ticket,
+    run_txn_planned, BulkPlanner, BulkRun, BulkRunner, BulkSizeKnob, ExecError, ExecPolicy,
+    Executor, PipelineError, PipelineOptions, PipelineStats, PipelinedEngine, PublishJob,
+    SubmitHandle, Ticket,
 };
 use gputx_sim::{Gpu, SimDuration, Throughput};
 use gputx_storage::{Database, Value};
@@ -182,43 +183,15 @@ pub struct GpuTxRunner {
     registry: ProcedureRegistry,
     executor: Box<dyn Executor>,
     policy: ExecPolicy,
-    /// Redo logging, when the engine config names a durability directory.
-    /// The execution stage is the pipeline's group-commit point: a bulk's
-    /// record is appended (and fsynced per policy) before the bulk reaches
-    /// the commit stage, so tickets resolve only after their bulk is durable
-    /// per policy — the fsync wait is naturally folded into the ticket
-    /// latencies `PipelineStats` reports as p50/p99.
-    durability: Option<Durability>,
-    /// Log shipping, when this engine is a replication primary. The same
-    /// group-commit point that appends a bulk's redo record to the WAL
-    /// publishes it into the hub, which fans it out to followers — shipping
-    /// and local durability always agree because they consume the *same*
-    /// record. Publishing never blocks on a follower (bounded queues shed).
-    replication: Option<gputx_replication::PrimaryHub>,
-    /// HTAP read path, when the engine feeds an analytics session (see
-    /// `EngineBuilder::analytics`). The session consumes the same record at
-    /// the same group-commit point, last in the chain: update propagation
-    /// into its snapshot mirror is a redo replay plus dirty-chunk marks;
-    /// the expensive copy-on-write rebuild is paid by scanners at snapshot
-    /// cut time, never here.
-    analytics: Option<gputx_analytics::AnalyticsSession>,
-    /// Supervised-heal policy for a poisoned WAL writer (see
-    /// [`GpuTxRunner::heal_or_degrade`]).
-    heal_policy: gputx_faults::HealPolicy,
-    /// Automatic heals still allowed before degrading.
-    heals_left: u32,
-    /// Shared health surface updated at the group-commit point.
-    health: gputx_faults::Health,
-}
-
-/// Robustness knobs threaded from `EngineBuilder` into the engines: the
-/// installed fault plane (if any), the WAL heal policy and the shared
-/// health surface.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct RobustnessParts {
-    pub(crate) faults: Option<gputx_faults::FaultInjector>,
-    pub(crate) heal_policy: gputx_faults::HealPolicy,
-    pub(crate) health: gputx_faults::Health,
+    /// The group-commit chain. Its log half runs here, in the execution
+    /// stage: a bulk's record is appended (and fsynced per policy) before
+    /// the bulk reaches the commit stage, so tickets resolve only after
+    /// their bulk is durable per policy — the fsync wait is folded into the
+    /// ticket latencies `PipelineStats` reports as p50/p99. Its publish
+    /// half (replication fan-out, analytics replay) travels to the commit
+    /// stage as the bulk's [`PublishJob`] and runs after the tickets
+    /// resolve.
+    chain: CommitChain,
 }
 
 impl GpuTxRunner {
@@ -288,57 +261,13 @@ impl GpuTxRunner {
         }
         Ok(())
     }
-
-    /// Supervised recovery from a failed redo-record append. The failing
-    /// bulk's effects are already applied to the live database, so a fresh
-    /// checkpoint absorbs them: [`Durability::heal`] snapshots the full
-    /// state under a fresh log epoch and advances the LSN past the record
-    /// that never landed — after which this bulk is durable (via the
-    /// snapshot) and the writer is clean again. Each heal consumes one unit
-    /// of the bounded [`HealPolicy::heal_budget`](gputx_faults::HealPolicy);
-    /// once it is spent (or healing itself keeps failing) the engine
-    /// degrades visibly instead of panicking: reads are always served, and
-    /// writes either continue unlogged
-    /// ([`writes_when_degraded`](gputx_faults::HealPolicy) — durability is
-    /// dropped, the health surface reports `Degraded`) or keep failing with
-    /// the poisoned writer's error so no caller is ever told "durable" for
-    /// work the log cannot reproduce.
-    fn heal_or_degrade(&mut self, cause: &std::io::Error) -> Result<(), ExecError> {
-        let durability = self
-            .durability
-            .as_mut()
-            .expect("heal_or_degrade is only reached with durability configured");
-        while self.heals_left > 0 {
-            self.heals_left -= 1;
-            if durability.heal(&self.db, 1).is_ok() {
-                self.health.record_heal();
-                return Ok(());
-            }
-        }
-        self.health.set_wal(gputx_faults::WalState::Degraded);
-        if self.heal_policy.writes_when_degraded {
-            // The log is superseded; drop it and serve on, unlogged. The
-            // hub/analytics keep numbering from their own counters, which
-            // never saw the failed record either.
-            self.durability = None;
-            Ok(())
-        } else {
-            Err(ExecError::LogAppendFailed {
-                message: format!("durability degraded (heal budget exhausted): {cause}"),
-            })
-        }
-    }
 }
 
 impl BulkRunner for GpuTxRunner {
     type Plan = GpuTxPlan;
     type Output = Database;
 
-    fn run(
-        &mut self,
-        bulk: Vec<TxnSignature>,
-        mut plan: GpuTxPlan,
-    ) -> Result<Vec<(TxnId, gputx_txn::TxnOutcome)>, ExecError> {
+    fn run(&mut self, bulk: Vec<TxnSignature>, mut plan: GpuTxPlan) -> Result<BulkRun, ExecError> {
         // A predecessor bulk that failed (typed error) or unwound (caught by
         // the execution stage) may have left buffered inserts behind;
         // applying them here would leak another bulk's partial effects.
@@ -355,9 +284,10 @@ impl BulkRunner for GpuTxRunner {
         // back into its redo record after commit. Unlike the access plan,
         // the capture cannot move to the grouping stage: it brackets the
         // live database's mutation window.
-        let capture =
-            (self.durability.is_some() || self.replication.is_some() || self.analytics.is_some())
-                .then(|| gputx_durability::WriteCapture::begin(&mut self.db));
+        let capture = self
+            .chain
+            .captures()
+            .then(|| gputx_durability::WriteCapture::begin(&mut self.db));
         let mut outcomes = Vec::with_capacity(bulk.len());
         if let Err(e) = self.run_plan(&bulk, &plan, &mut outcomes) {
             self.discard_insert_buffers();
@@ -365,46 +295,21 @@ impl BulkRunner for GpuTxRunner {
         }
         self.db.apply_insert_buffers();
         outcomes.sort_by_key(|(id, _)| *id);
-        if let Some(capture) = capture {
-            // Group commit: one redo record serves both consumers. The WAL
-            // append (and its policy-driven fsync) must land before the
-            // commit stage resolves this bulk's tickets. An append failure
-            // fails this bulk's tickets AND poisons the log writer, so every
-            // later bulk's tickets fail too — the functional effects are
-            // applied, but nobody is ever told "durable" for work the log
-            // cannot reproduce. A checkpoint (full snapshot + fresh log
-            // epoch) is the way back. Publishing to followers happens after
-            // the local append: a record a follower holds is always one the
-            // primary logged.
-            let lsn = match (&self.durability, &self.replication, &self.analytics) {
-                (Some(d), _, _) => d.next_lsn(),
-                (None, Some(hub), _) => hub.next_lsn(),
-                (None, None, Some(session)) => session.next_lsn(),
-                (None, None, None) => unreachable!("capture exists only with a consumer"),
-            };
-            let record = BulkLogRecord {
-                lsn,
-                write_set: capture.finish(&mut self.db),
-            };
-            if let Some(durability) = self.durability.as_mut() {
-                if let Err(e) = durability.append_record(&record) {
-                    self.heal_or_degrade(&e)?;
-                }
+        // Group commit: one redo record serves every consumer. The WAL
+        // append (and its policy-driven fsync) must land before the commit
+        // stage resolves this bulk's tickets. An append failure past the
+        // heal budget fails this bulk's tickets (and, with the writer
+        // poisoned, every later bulk's) and publishes nothing — nobody is
+        // ever told "durable" for work the log cannot reproduce.
+        let publish = match capture {
+            Some(capture) => {
+                let record = self.chain.log(capture, &mut self.db)?;
+                let publisher = self.chain.publisher().clone();
+                Some(Box::new(move || publisher.publish(record)) as PublishJob)
             }
-            if let Some(hub) = self.replication.as_ref() {
-                hub.publish(&record);
-                let acks = hub.follower_acks();
-                self.health.set_replication(
-                    acks.len() as u64,
-                    hub.next_lsn(),
-                    acks.iter().copied().min().unwrap_or(0),
-                );
-            }
-            if let Some(session) = self.analytics.as_ref() {
-                session.publish(&record);
-            }
-        }
-        Ok(outcomes)
+            None => None,
+        };
+        Ok(BulkRun { outcomes, publish })
     }
 
     fn finish(mut self) -> Database {
@@ -475,33 +380,8 @@ impl PipelinedGpuTx {
             engine_config.strategy,
             StrategyChoice::ForceKset | StrategyChoice::Auto | StrategyChoice::Adaptive
         );
-        let mut durability = Durability::from_config(&engine_config.durability, &db)
-            .unwrap_or_else(|e| panic!("cannot initialize durability: {e}"));
-        let RobustnessParts {
-            faults,
-            heal_policy,
-            health,
-        } = robustness;
-        if let Some(injector) = faults.as_ref() {
-            if let Some(d) = durability.as_mut() {
-                d.set_faults(injector);
-            }
-            health.attach_injector(injector.clone());
-        }
-        health.set_wal(if durability.is_some() {
-            gputx_faults::WalState::Healthy
-        } else {
-            gputx_faults::WalState::Disabled
-        });
-        // A freshly created WAL numbers records from 0; a hub that already
-        // shipped records must restart its stream too (new epoch, followers
-        // resync) so both consumers keep numbering the same records
-        // identically.
-        if durability.is_some() {
-            if let Some(hub) = replication.as_ref().filter(|h| h.next_lsn() != 0) {
-                hub.rotate_epoch();
-            }
-        }
+        let health = robustness.health.clone();
+        let chain = CommitChain::new(&engine_config, &db, replication, analytics, robustness);
         // Under Adaptive the grouping stage holds the selector (decisions
         // happen where bulks become plans) and feeds sizing suggestions back
         // into admission through a shared knob.
@@ -529,12 +409,7 @@ impl PipelinedGpuTx {
             registry,
             executor: pipeline.executor.build(),
             policy: ExecPolicy::functional(),
-            durability,
-            replication,
-            analytics,
-            heals_left: heal_policy.heal_budget,
-            heal_policy,
-            health: health.clone(),
+            chain,
         };
         let opts = PipelineOptions {
             max_bulk_size: pipeline.max_bulk_size,
@@ -557,8 +432,8 @@ impl PipelinedGpuTx {
     }
 
     /// The engine's shared health surface: WAL state (including automatic
-    /// heals and degradation), replication progress and fault-plane
-    /// activity, updated at the group-commit point. Clone it into a server
+    /// heals and degradation), replication progress, publish failures and
+    /// fault-plane activity, updated by the commit chain. Clone it into a server
     /// (`Server::serve_health`) to answer wire `Health` requests.
     pub fn health(&self) -> gputx_faults::Health {
         self.health.clone()
@@ -587,7 +462,10 @@ impl PipelinedGpuTx {
     }
 
     /// Close the currently open partial bulk and block until everything
-    /// submitted before the flush has committed.
+    /// submitted before the flush has committed *and* been published to the
+    /// replication hub and the analytics session. A resolved ticket is
+    /// durable, but followers and analytics may trail it until the commit
+    /// stage publishes its bulk; `flush` is the barrier that catches them up.
     pub fn flush(&self) -> Result<(), PipelineError> {
         self.engine.flush()
     }

@@ -19,6 +19,8 @@
 //!   ([`DurabilityConfig`] lives in `gputx-core`'s `EngineConfig`) and
 //!   [`recover`], which rebuilds a [`Database`](gputx_storage::Database)
 //!   bit-identical to the committed-prefix state, dropping a torn tail.
+//! * [`mirror`] — [`SharedMirror`], the in-memory replay of the log that the
+//!   replication hub and the analytics session share.
 //!
 //! The recovery invariants — why replaying these records reproduces the
 //! pre-crash state exactly — are documented in `docs/durability.md`.
@@ -29,6 +31,7 @@
 pub mod capture;
 pub mod checkpoint;
 pub mod manager;
+pub mod mirror;
 pub mod wal;
 
 pub use capture::WriteCapture;
@@ -36,4 +39,5 @@ pub use checkpoint::{read_checkpoint, write_checkpoint, Checkpoint};
 pub use manager::{
     fresh_epoch, recover, recover_from, Durability, DurabilityConfig, DurabilityStats, Recovery,
 };
+pub use mirror::{ChunkMarks, MirrorState, SharedMirror, TableMarks};
 pub use wal::{read_wal, BulkLogRecord, FsyncPolicy, WalScan, WalWriter};

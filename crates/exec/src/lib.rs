@@ -48,12 +48,15 @@
 //! bounded admission queue, forms bulks adaptively (size or deadline) and
 //! overlaps the grouping of bulk `N+1` with the execution of bulk `N` on
 //! dedicated stage threads — the pipelining the paper uses to hide bulk
-//! formation cost.
+//! formation cost. Its commit stage resolves a bulk's tickets, then runs the
+//! runner's [`PublishJob`] for that bulk; ticket latencies are kept in a
+//! fixed-memory [`LatencyHistogram`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod executor;
+pub mod histogram;
 pub mod parallel;
 pub mod pipeline;
 
@@ -61,8 +64,10 @@ pub use executor::{
     run_txn, run_txn_planned, ExecError, ExecPolicy, ExecutedTxn, Executor, ExecutorChoice,
     SerialExecutor,
 };
+pub use histogram::LatencyHistogram;
 pub use parallel::{partition_ranges, ParallelExecutor};
 pub use pipeline::{
-    BulkCloseCounts, BulkPlanner, BulkRunner, BulkSizeKnob, PipelineError, PipelineOptions,
-    PipelineStats, PipelinedEngine, StageBusy, SubmitHandle, Ticket, TicketResult,
+    BulkCloseCounts, BulkPlanner, BulkRun, BulkRunner, BulkSizeKnob, PipelineError,
+    PipelineOptions, PipelineStats, PipelinedEngine, PublishJob, StageBusy, SubmitHandle, Ticket,
+    TicketResult,
 };

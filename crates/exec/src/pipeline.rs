@@ -23,8 +23,12 @@
 //!   with the previous one. This is the paper's formation/execution overlap.
 //! * **execution** — runs the [`BulkRunner`] (the owner of the database and
 //!   the [`Executor`](crate::Executor)).
-//! * **commit** — resolves [`Ticket`]s in submission order and records
-//!   per-ticket latency.
+//! * **commit** — resolves [`Ticket`]s in submission order, records
+//!   per-ticket latency, then runs the bulk's [`PublishJob`] (if the runner
+//!   handed one over) before it resolves any flush barrier. Work that a
+//!   transaction's durability does not depend on — shipping to followers,
+//!   feeding analytics — thus runs after the bulk's replies, off the
+//!   execution stage, and `flush` still returns only after it.
 //!
 //! Every channel is bounded, so a slow stage backpressures its upstream all
 //! the way to `submit`, which blocks the client. No ticket is ever dropped:
@@ -37,6 +41,7 @@
 //! lives in `gputx-core`'s `pipeline` module.
 
 use crate::executor::ExecError;
+use crate::histogram::LatencyHistogram;
 use gputx_storage::Value;
 use gputx_txn::{TxnId, TxnOutcome, TxnSignature, TxnTypeId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -67,6 +72,31 @@ pub trait BulkPlanner: Send + 'static {
     fn plan(&mut self, bulk: &[TxnSignature]) -> Self::Plan;
 }
 
+/// Work a runner hands the commit stage to run after a bulk's tickets
+/// resolve (see [`BulkRun::publish`]).
+pub type PublishJob = Box<dyn FnOnce() + Send>;
+
+/// What the execution stage hands the commit stage for one bulk.
+pub struct BulkRun {
+    /// Exactly one `(id, outcome)` per transaction, sorted by ascending id.
+    pub outcomes: Vec<(TxnId, TxnOutcome)>,
+    /// Run by the commit stage after the bulk's tickets resolve and before
+    /// any flush barrier behind them resolves; jobs run in bulk order. A
+    /// panicking job is caught and counted
+    /// ([`PipelineStats::publish_failures`]); the bulk's tickets stay
+    /// resolved as they were.
+    pub publish: Option<PublishJob>,
+}
+
+impl From<Vec<(TxnId, TxnOutcome)>> for BulkRun {
+    fn from(outcomes: Vec<(TxnId, TxnOutcome)>) -> Self {
+        BulkRun {
+            outcomes,
+            publish: None,
+        }
+    }
+}
+
 /// Execution stage of the pipeline: owns the database and applies bulks in
 /// sequence using the plan produced by the [`BulkPlanner`].
 pub trait BulkRunner: Send + 'static {
@@ -76,15 +106,11 @@ pub trait BulkRunner: Send + 'static {
     /// database).
     type Output: Send + 'static;
 
-    /// Execute one bulk. Must return exactly one `(id, outcome)` per
-    /// transaction, sorted by ascending id. A [`ExecError`] fails the whole
+    /// Execute one bulk and return its outcomes plus an optional job for
+    /// the commit stage (see [`BulkRun`]). A [`ExecError`] fails the whole
     /// bulk (its tickets resolve with [`PipelineError::BulkFailed`]) but the
     /// pipeline keeps running.
-    fn run(
-        &mut self,
-        bulk: Vec<TxnSignature>,
-        plan: Self::Plan,
-    ) -> Result<Vec<(TxnId, TxnOutcome)>, ExecError>;
+    fn run(&mut self, bulk: Vec<TxnSignature>, plan: Self::Plan) -> Result<BulkRun, ExecError>;
 
     /// Consume the runner after shutdown and hand back the final state.
     fn finish(self) -> Self::Output;
@@ -183,10 +209,10 @@ impl TicketSlot {
         )
     }
 
-    /// Resolve the ticket and return the submit→resolve latency in seconds.
-    fn resolve(mut self, result: TicketResult) -> f64 {
+    /// Resolve the ticket and return the submit→resolve latency.
+    fn resolve(mut self, result: TicketResult) -> Duration {
         self.fill(result);
-        self.submitted_at.elapsed().as_secs_f64()
+        self.submitted_at.elapsed()
     }
 
     fn fill(&mut self, result: TicketResult) {
@@ -402,7 +428,7 @@ struct PlannedBulk<Plan> {
 struct ExecutedBulk {
     slots: Vec<TicketSlot>,
     barrier: Option<TicketSlot>,
-    outcomes: Result<Vec<(TxnId, TxnOutcome)>, String>,
+    run: Result<BulkRun, String>,
 }
 
 /// Why the admission stage closed each bulk.
@@ -434,8 +460,9 @@ struct CommitStats {
     aborted: u64,
     failed: u64,
     bulks_failed: u64,
+    publish_failures: u64,
     busy_secs: f64,
-    latencies_secs: Vec<f64>,
+    latencies: LatencyHistogram,
 }
 
 /// Busy time per pipeline stage, in seconds. "Busy" excludes waiting on an
@@ -450,7 +477,7 @@ pub struct StageBusy {
     pub grouping_secs: f64,
     /// Execution stage (bulk run).
     pub execution_secs: f64,
-    /// Commit stage (ticket resolution).
+    /// Commit stage (ticket resolution and publish jobs).
     pub commit_secs: f64,
 }
 
@@ -470,10 +497,12 @@ pub struct PipelineStats {
     pub aborted: u64,
     /// Transactions whose bulk failed (resolved with an error).
     pub failed: u64,
+    /// Publish jobs that panicked (their bulks' tickets stayed resolved).
+    pub publish_failures: u64,
     /// Per-stage busy time.
     pub stage_busy: StageBusy,
-    /// Sorted submit→commit latencies in seconds, one per resolved ticket.
-    latencies_secs: Vec<f64>,
+    /// Submit→resolve latency of every resolved ticket, in fixed memory.
+    latencies: LatencyHistogram,
 }
 
 impl PipelineStats {
@@ -497,13 +526,16 @@ impl PipelineStats {
     }
 
     /// Latency percentile (`pct` in `0..=100`) of the submit→commit ticket
-    /// latency, in milliseconds; `0` when no ticket resolved.
+    /// latency, in milliseconds; `0` when no ticket resolved. Read from a
+    /// log-bucketed histogram: within 1.6 % of the exact sample (see
+    /// [`LatencyHistogram`]).
     pub fn latency_percentile_ms(&self, pct: f64) -> f64 {
-        if self.latencies_secs.is_empty() {
-            return 0.0;
-        }
-        let rank = (pct / 100.0 * (self.latencies_secs.len() - 1) as f64).round() as usize;
-        self.latencies_secs[rank.min(self.latencies_secs.len() - 1)] * 1e3
+        self.latencies.percentile(pct).as_secs_f64() * 1e3
+    }
+
+    /// The ticket-latency histogram behind the percentiles.
+    pub fn latency_histogram(&self) -> &LatencyHistogram {
+        &self.latencies
     }
 
     /// Median ticket latency in milliseconds.
@@ -617,7 +649,7 @@ where
     /// runner counts submissions) driven through the full pipeline:
     ///
     /// ```
-    /// use gputx_exec::{BulkPlanner, BulkRunner, ExecError, PipelineOptions, PipelinedEngine};
+    /// use gputx_exec::{BulkPlanner, BulkRun, BulkRunner, ExecError, PipelineOptions, PipelinedEngine};
     /// use gputx_storage::Value;
     /// use gputx_txn::{TxnId, TxnOutcome, TxnSignature};
     ///
@@ -630,13 +662,11 @@ where
     /// impl BulkRunner for CountRunner {
     ///     type Plan = usize;
     ///     type Output = usize;
-    ///     fn run(
-    ///         &mut self,
-    ///         bulk: Vec<TxnSignature>,
-    ///         plan: usize,
-    ///     ) -> Result<Vec<(TxnId, TxnOutcome)>, ExecError> {
+    ///     fn run(&mut self, bulk: Vec<TxnSignature>, plan: usize) -> Result<BulkRun, ExecError> {
     ///         self.total += plan;
-    ///         Ok(bulk.iter().map(|s| (s.id, TxnOutcome::Committed)).collect())
+    ///         let outcomes: Vec<(TxnId, TxnOutcome)> =
+    ///             bulk.iter().map(|s| (s.id, TxnOutcome::Committed)).collect();
+    ///         Ok(outcomes.into())
     ///     }
     ///     fn finish(self) -> usize { self.total }
     /// }
@@ -699,46 +729,46 @@ where
         // sender clone is gone, closes the final partial bulk and lets the
         // stages drain in order.
         self.gate.close();
-        let mut stats = PipelineStats::default();
-        let mut output: Result<Option<R::Output>, PipelineError> = Ok(None);
-        match self.admission.take().map(JoinHandle::join) {
-            Some(Ok(a)) => {
-                stats.closes = a.closes;
-                stats.stage_busy.admission_secs = a.busy_secs;
-            }
-            _ => output = Err(PipelineError::Disconnected),
+        let admission = self.admission.take().map(JoinHandle::join);
+        let grouping = self.grouping.take().map(JoinHandle::join);
+        let execution = self.execution.take().map(JoinHandle::join);
+        let commit = self.commit.take().map(JoinHandle::join);
+        let wall_secs = self.started.elapsed().as_secs_f64();
+        let mut stage_busy = StageBusy::default();
+        let mut closes = BulkCloseCounts::default();
+        if let Some(Ok(a)) = &admission {
+            closes = a.closes;
+            stage_busy.admission_secs = a.busy_secs;
         }
-        match self.grouping.take().map(JoinHandle::join) {
-            Some(Ok((_planner, busy))) => stats.stage_busy.grouping_secs = busy,
-            _ => output = Err(PipelineError::Disconnected),
+        if let Some(Ok((_planner, busy))) = &grouping {
+            stage_busy.grouping_secs = *busy;
         }
-        match self.execution.take().map(JoinHandle::join) {
+        let output = match execution {
             Some(Ok((runner, busy))) => {
-                stats.stage_busy.execution_secs = busy;
-                if let Ok(slot) = &mut output {
-                    *slot = Some(runner.finish());
-                }
+                stage_busy.execution_secs = busy;
+                Some(runner.finish())
             }
-            _ => output = Err(PipelineError::Disconnected),
-        }
-        match self.commit.take().map(JoinHandle::join) {
-            Some(Ok(mut c)) => {
-                stats.committed = c.committed;
-                stats.aborted = c.aborted;
-                stats.failed = c.failed;
-                stats.bulks_failed = c.bulks_failed;
-                stats.stage_busy.commit_secs = c.busy_secs;
-                c.latencies_secs
-                    .sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-                stats.latencies_secs = c.latencies_secs;
-            }
-            _ => output = Err(PipelineError::Disconnected),
-        }
-        stats.wall_secs = self.started.elapsed().as_secs_f64();
-        let output = match output {
-            Ok(Some(out)) => Ok(out),
-            Ok(None) | Err(PipelineError::Disconnected) => Err(PipelineError::Disconnected),
-            Err(e) => Err(e),
+            _ => None,
+        };
+        let commit = commit.and_then(Result::ok);
+        // Any stage that died (its join failed) disconnects the run.
+        let healthy = matches!(admission, Some(Ok(_))) && matches!(grouping, Some(Ok(_)));
+        let output = match (output, &commit) {
+            (Some(out), Some(_)) if healthy => Ok(out),
+            _ => Err(PipelineError::Disconnected),
+        };
+        let c = commit.unwrap_or_default();
+        stage_busy.commit_secs = c.busy_secs;
+        let stats = PipelineStats {
+            wall_secs,
+            closes,
+            bulks_failed: c.bulks_failed,
+            committed: c.committed,
+            aborted: c.aborted,
+            failed: c.failed,
+            publish_failures: c.publish_failures,
+            stage_busy,
+            latencies: c.latencies,
         };
         self.finished = Some((output, stats));
     }
@@ -898,11 +928,11 @@ fn execution_loop<R: BulkRunner>(
     }) = rx.recv()
     {
         let t0 = Instant::now();
-        let outcomes = match plan {
+        let run = match plan {
             Err(msg) => Err(format!("bulk planning failed: {msg}")),
-            Ok(None) => Ok(Vec::new()),
+            Ok(None) => Ok(BulkRun::from(Vec::new())),
             Ok(Some(plan)) => match catch_unwind(AssertUnwindSafe(|| runner.run(sigs, plan))) {
-                Ok(Ok(outcomes)) => Ok(outcomes),
+                Ok(Ok(run)) => Ok(run),
                 Ok(Err(e)) => Err(e.to_string()),
                 Err(payload) => Err(crate::parallel::panic_message(payload)),
             },
@@ -911,7 +941,7 @@ fn execution_loop<R: BulkRunner>(
         let sent = tx.send(ExecutedBulk {
             slots,
             barrier,
-            outcomes,
+            run,
         });
         if sent.is_err() {
             break;
@@ -925,20 +955,25 @@ fn commit_loop(rx: Receiver<ExecutedBulk>) -> CommitStats {
     while let Ok(ExecutedBulk {
         slots,
         barrier,
-        outcomes,
+        run,
     }) = rx.recv()
     {
         let t0 = Instant::now();
-        let outcomes = match outcomes {
-            Ok(outcomes) if outcomes.len() == slots.len() => Ok(outcomes),
-            Ok(outcomes) => Err(format!(
-                "runner returned {} outcomes for a {}-transaction bulk",
-                outcomes.len(),
-                slots.len()
-            )),
-            Err(msg) => Err(msg),
+        let (outcomes, publish) = match run {
+            Ok(BulkRun { outcomes, publish }) if outcomes.len() == slots.len() => {
+                (Ok(outcomes), publish)
+            }
+            Ok(BulkRun { outcomes, publish }) => (
+                Err(format!(
+                    "runner returned {} outcomes for a {}-transaction bulk",
+                    outcomes.len(),
+                    slots.len()
+                )),
+                publish,
+            ),
+            Err(msg) => (Err(msg), None),
         };
-        match outcomes {
+        let barrier_result = match outcomes {
             Ok(outcomes) => {
                 // Admission assigns ascending ids, so slots and the
                 // id-sorted outcomes line up 1:1 in submission order.
@@ -948,11 +983,9 @@ fn commit_loop(rx: Receiver<ExecutedBulk>) -> CommitStats {
                     } else {
                         stats.aborted += 1;
                     }
-                    stats.latencies_secs.push(slot.resolve(Ok((id, outcome))));
+                    stats.latencies.record(slot.resolve(Ok((id, outcome))));
                 }
-                if let Some(barrier) = barrier {
-                    barrier.resolve(Ok((0, TxnOutcome::Committed)));
-                }
+                Ok((0, TxnOutcome::Committed))
             }
             Err(msg) => {
                 stats.bulks_failed += 1;
@@ -961,10 +994,19 @@ fn commit_loop(rx: Receiver<ExecutedBulk>) -> CommitStats {
                 for slot in slots {
                     slot.resolve(Err(err.clone()));
                 }
-                if let Some(barrier) = barrier {
-                    barrier.resolve(Err(err));
-                }
+                Err(err)
             }
+        };
+        // The runner already made the bulk durable; the job only feeds
+        // consumers that may trail the replies, so its failure never
+        // reaches a ticket.
+        if let Some(job) = publish {
+            if catch_unwind(AssertUnwindSafe(job)).is_err() {
+                stats.publish_failures += 1;
+            }
+        }
+        if let Some(barrier) = barrier {
+            barrier.resolve(barrier_result);
         }
         stats.busy_secs += t0.elapsed().as_secs_f64();
     }
@@ -986,17 +1028,25 @@ mod tests {
     }
 
     /// Toy runner: counts per key; type 9 fails the bulk, type 8 panics.
+    /// Every bulk hands the commit stage a job that counts publishes (type
+    /// 5: after a 2 ms delay; type 6: a job that panics instead).
     struct CountRunner {
         counts: HashMap<i64, i64>,
+        published: Arc<AtomicUsize>,
+    }
+
+    impl CountRunner {
+        fn new() -> Self {
+            CountRunner {
+                counts: HashMap::new(),
+                published: Arc::new(AtomicUsize::new(0)),
+            }
+        }
     }
     impl BulkRunner for CountRunner {
         type Plan = Vec<i64>;
         type Output = HashMap<i64, i64>;
-        fn run(
-            &mut self,
-            bulk: Vec<TxnSignature>,
-            plan: Vec<i64>,
-        ) -> Result<Vec<(TxnId, TxnOutcome)>, ExecError> {
+        fn run(&mut self, bulk: Vec<TxnSignature>, plan: Vec<i64>) -> Result<BulkRun, ExecError> {
             if bulk.iter().any(|s| s.ty == 9) {
                 return Err(ExecError::WorkerPanicked {
                     shard: 0,
@@ -1012,7 +1062,24 @@ mod tests {
             for key in plan {
                 *self.counts.entry(key).or_insert(0) += 1;
             }
-            Ok(bulk.iter().map(|s| (s.id, TxnOutcome::Committed)).collect())
+            let outcomes: Vec<(TxnId, TxnOutcome)> =
+                bulk.iter().map(|s| (s.id, TxnOutcome::Committed)).collect();
+            let publish: PublishJob = if bulk.iter().any(|s| s.ty == 6) {
+                Box::new(|| panic!("injected publish panic"))
+            } else {
+                let published = Arc::clone(&self.published);
+                let slow = bulk.iter().any(|s| s.ty == 5);
+                Box::new(move || {
+                    if slow {
+                        std::thread::sleep(Duration::from_millis(2));
+                    }
+                    published.fetch_add(1, Ordering::SeqCst);
+                })
+            };
+            Ok(BulkRun {
+                outcomes,
+                publish: Some(publish),
+            })
         }
         fn finish(self) -> HashMap<i64, i64> {
             self.counts
@@ -1020,13 +1087,7 @@ mod tests {
     }
 
     fn engine(opts: PipelineOptions) -> PipelinedEngine<CountPlanner, CountRunner> {
-        PipelinedEngine::new(
-            CountPlanner,
-            CountRunner {
-                counts: HashMap::new(),
-            },
-            opts,
-        )
+        PipelinedEngine::new(CountPlanner, CountRunner::new(), opts)
     }
 
     #[test]
@@ -1064,9 +1125,7 @@ mod tests {
         knob.set(8);
         let eng = PipelinedEngine::new_with_knob(
             CountPlanner,
-            CountRunner {
-                counts: HashMap::new(),
-            },
+            CountRunner::new(),
             PipelineOptions {
                 max_bulk_size: 1_000,
                 max_wait: Duration::from_secs(10),
@@ -1127,6 +1186,84 @@ mod tests {
         let (counts, stats) = eng.finish().unwrap();
         assert_eq!(counts[&3], 1);
         assert!(stats.closes.by_flush >= 1);
+    }
+
+    #[test]
+    fn flush_returns_after_every_earlier_bulk_published() {
+        let runner = CountRunner::new();
+        let published = Arc::clone(&runner.published);
+        let eng = PipelinedEngine::new(
+            CountPlanner,
+            runner,
+            PipelineOptions {
+                max_bulk_size: 4,
+                max_wait: Duration::from_secs(10),
+                queue_depth: 64,
+            },
+        );
+        for round in 1..=5 {
+            let tickets: Vec<Ticket> = (0..10)
+                .map(|i| eng.submit(5, vec![Value::Int(i)]).unwrap())
+                .collect();
+            eng.flush().unwrap();
+            assert!(tickets.iter().all(|t| matches!(t.try_get(), Some(Ok(_)))));
+            // 10 transactions per round at a close size of 4: two full
+            // bulks plus the flushed tail of 2.
+            assert_eq!(published.load(Ordering::SeqCst), 3 * round);
+        }
+        let (_, stats) = eng.finish().unwrap();
+        assert_eq!(stats.publish_failures, 0);
+    }
+
+    #[test]
+    fn panicking_publish_keeps_tickets_committed_and_flush_live() {
+        let eng = engine(PipelineOptions {
+            max_bulk_size: 4,
+            max_wait: Duration::from_secs(10),
+            queue_depth: 16,
+        });
+        let doomed: Vec<Ticket> = (0..4)
+            .map(|_| eng.submit(6, vec![Value::Int(1)]).unwrap())
+            .collect();
+        for t in &doomed {
+            assert!(t
+                .wait()
+                .expect("resolved before its publish")
+                .1
+                .is_committed());
+        }
+        eng.flush()
+            .expect("a failed publish never fails a later flush");
+        let later = eng.submit(0, vec![Value::Int(2)]).unwrap();
+        eng.flush().unwrap();
+        assert!(later.wait().is_ok());
+        let (counts, stats) = eng.finish().unwrap();
+        assert_eq!(stats.publish_failures, 1);
+        assert_eq!(stats.committed, 5);
+        assert_eq!(counts[&1], 4);
+    }
+
+    #[test]
+    fn latency_histogram_stays_fixed_over_a_million_tickets() {
+        const TICKETS: u64 = 1_000_000;
+        let eng = engine(PipelineOptions {
+            max_bulk_size: 8_192,
+            max_wait: Duration::from_millis(1),
+            queue_depth: 16_384,
+        });
+        for i in 0..TICKETS {
+            eng.submit(0, vec![Value::Int((i % 13) as i64)]).unwrap();
+        }
+        let (_, stats) = eng.finish().unwrap();
+        assert_eq!(stats.committed, TICKETS);
+        let histogram = stats.latency_histogram();
+        assert_eq!(histogram.count(), TICKETS);
+        assert_eq!(
+            histogram.heap_bytes(),
+            LatencyHistogram::new().heap_bytes(),
+            "a million samples must not grow the histogram"
+        );
+        assert!(stats.p99_ms() >= stats.p50_ms());
     }
 
     #[test]

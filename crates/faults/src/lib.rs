@@ -485,6 +485,9 @@ pub struct HealthReport {
     pub repl_next_lsn: u64,
     /// Lowest LSN acknowledged by every follower (0 when none).
     pub repl_min_acked: u64,
+    /// Publishes to followers or analytics that panicked. Their bulks were
+    /// logged and their tickets resolved; the consumers may now trail.
+    pub publish_failures: u64,
     /// Total faults injected by the installed plan (0 when none installed).
     pub faults_injected: u64,
     /// Most recent injected fault as `site/kind#seq`.
@@ -500,6 +503,7 @@ impl HealthReport {
             repl_followers: 0,
             repl_next_lsn: 0,
             repl_min_acked: 0,
+            publish_failures: 0,
             faults_injected: 0,
             last_fault: None,
         }
@@ -519,11 +523,12 @@ struct HealthInner {
     repl_followers: AtomicU64,
     repl_next_lsn: AtomicU64,
     repl_min_acked: AtomicU64,
+    publish_failures: AtomicU64,
     injector: Mutex<Option<FaultInjector>>,
 }
 
-/// Shared, cheaply-clonable health surface. The engine updates it at the
-/// group-commit point; the server reads it to answer `Health` requests.
+/// Shared, cheaply-clonable health surface. The engine's commit chain
+/// updates it; the server reads it to answer `Health` requests.
 #[derive(Clone, Debug, Default)]
 pub struct Health {
     inner: Arc<HealthInner>,
@@ -553,6 +558,11 @@ impl Health {
         self.inner.repl_min_acked.store(min_acked, Ordering::SeqCst);
     }
 
+    /// Record one publish to followers or analytics that panicked.
+    pub fn record_publish_failure(&self) {
+        self.inner.publish_failures.fetch_add(1, Ordering::SeqCst);
+    }
+
     /// Attach the fault injector so reports include injection activity.
     pub fn attach_injector(&self, injector: FaultInjector) {
         *self.inner.injector.lock().expect("health injector lock") = Some(injector);
@@ -571,6 +581,7 @@ impl Health {
             repl_followers: self.inner.repl_followers.load(Ordering::SeqCst),
             repl_next_lsn: self.inner.repl_next_lsn.load(Ordering::SeqCst),
             repl_min_acked: self.inner.repl_min_acked.load(Ordering::SeqCst),
+            publish_failures: self.inner.publish_failures.load(Ordering::SeqCst),
             faults_injected,
             last_fault,
         }

@@ -6,10 +6,12 @@
 //! bulk-granular WAL *is* a replication stream, so a follower that replays it
 //! through the existing recovery machinery is a read-only replica for free.
 //!
-//! * [`PrimaryHub`] — the primary side. The engine's group-commit point
-//!   publishes each committed bulk's redo record into the hub, which applies
-//!   it to a *mirror* database (the always-consistent snapshot source, kept
-//!   off the execution path) and fans the encoded record out to every
+//! * [`PrimaryHub`] — the primary side. The engine's commit stage
+//!   publishes each logged bulk's redo record into the hub once the bulk's
+//!   tickets resolve; the hub applies it to a *mirror* database (the
+//!   always-consistent snapshot source, kept off the execution path and
+//!   shared with the engine's analytics session, if any) and fans the
+//!   encoded record out to every
 //!   subscribed follower through a **bounded** per-follower queue. A
 //!   follower that leaves more than `queue_depth` records unacknowledged is
 //!   *shed* — its session discards the queue and resyncs from a fresh

@@ -1,9 +1,9 @@
-//! The primary side of log shipping: the publish hook at the engine's
-//! group-commit point, the mirror database snapshots are cut from, and the
+//! The primary side of log shipping: the publish hook the engine's commit
+//! stage calls, the mirror database snapshots are cut from, and the
 //! per-follower sender sessions with bounded queues and snapshot resync.
 
 use crate::unix_nanos;
-use gputx_durability::{fresh_epoch, BulkLogRecord};
+use gputx_durability::{fresh_epoch, BulkLogRecord, SharedMirror};
 use gputx_server::proto::{encode_repl, read_frame, write_frame, ReplMsg, MAX_FRAME_LEN};
 use gputx_server::Duplex;
 use gputx_storage::{Database, WireWriter};
@@ -80,7 +80,7 @@ enum Item {
 
 /// The hub's registration of one follower session: the bounded queue plus
 /// the flags the publish path and the sender thread communicate through
-/// without re-taking the mirror lock.
+/// without re-taking the hub lock.
 struct FollowerSlot {
     id: u64,
     tx: SyncSender<Item>,
@@ -97,22 +97,25 @@ struct FollowerSlot {
     synced_from: u64,
 }
 
-/// The replication state machine guarded by one lock: the mirror database
-/// (always exactly the state after `next_lsn` records of `epoch`), and the
-/// follower registrations. Snapshots are encoded under this lock, which is
-/// the only point where a resync briefly delays commits — bounded by encode
-/// time, never by a follower's network.
-struct Mirror {
-    db: Database,
+/// The replication state machine: the epoch and the follower registrations.
+/// Every mirror replay the hub performs and every snapshot it encodes happen
+/// while this lock is held, so a follower's snapshot and the records queued
+/// for it after registration neither overlap nor leave a gap. Snapshot
+/// encoding is the only point where a resync briefly delays publishing —
+/// bounded by encode time, never by a follower's network.
+struct HubState {
     epoch: u64,
-    next_lsn: u64,
     fenced: bool,
     slots: Vec<FollowerSlot>,
     next_id: u64,
 }
 
 struct HubShared {
-    mirror: Mutex<Mirror>,
+    /// Lock order: `state`, then `mirror`.
+    state: Mutex<HubState>,
+    /// The replayed database (always exactly the state after `next_lsn`
+    /// records of `epoch`), possibly shared with an analytics session.
+    mirror: SharedMirror,
     /// Signaled on every publish and ack, so waiters (tests, retire) can
     /// sleep instead of spinning.
     changed: Condvar,
@@ -132,12 +135,14 @@ struct SessionConn {
 /// commit path (which [`PrimaryHub::publish`]es each committed bulk) and the
 /// follower acceptor/sessions.
 ///
-/// The hub owns a **mirror** of the database, advanced record-by-record on
-/// the commit path. That costs one extra write-set apply per bulk and one
-/// extra copy of the data, and buys the crucial property that a consistent
-/// snapshot (for a follower's initial sync or a shed resync) is always
-/// available under one short lock — the engine's live database is never
-/// touched by replication.
+/// The hub replays every published record into a **mirror** of the
+/// database ([`SharedMirror`]). That costs one write-set apply per bulk and
+/// one extra copy of the data, and buys the crucial property that a
+/// consistent snapshot (for a follower's initial sync or a shed resync) is
+/// always available under one short lock — the engine's live database is
+/// never touched by replication. An engine that also feeds an analytics
+/// session shares this mirror with it ([`PrimaryHub::with_mirror`]), so the
+/// copy and the replay are paid once.
 ///
 /// Build one through `EngineBuilder::replicate()` in `gputx-core`, which
 /// seeds the mirror from the same database the engine starts with.
@@ -148,11 +153,11 @@ pub struct PrimaryHub {
 
 impl std::fmt::Debug for PrimaryHub {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let m = self.shared.mirror.lock().expect("mirror poisoned");
+        let h = self.shared.state.lock().expect("hub poisoned");
         f.debug_struct("PrimaryHub")
-            .field("epoch", &m.epoch)
-            .field("next_lsn", &m.next_lsn)
-            .field("followers", &m.slots.len())
+            .field("epoch", &h.epoch)
+            .field("next_lsn", &self.next_lsn())
+            .field("followers", &h.slots.len())
             .finish()
     }
 }
@@ -168,17 +173,23 @@ impl PrimaryHub {
     /// bumped epoch) and tuning options. LSNs always restart at 0: they are
     /// epoch-scoped, exactly as in crash recovery.
     pub fn with_epoch(db: &Database, epoch: u64, opts: ReplicationOptions) -> Self {
+        Self::with_mirror(SharedMirror::new(db), epoch, opts)
+    }
+
+    /// A hub replaying into an existing mirror — one an analytics session
+    /// also cuts snapshots from. The mirror must hold the exact state the
+    /// engine starts executing from; its LSN numbering is the stream's.
+    pub fn with_mirror(mirror: SharedMirror, epoch: u64, opts: ReplicationOptions) -> Self {
         assert!(epoch != 0, "epoch 0 is reserved for empty followers");
         PrimaryHub {
             shared: Arc::new(HubShared {
-                mirror: Mutex::new(Mirror {
-                    db: db.clone(),
+                state: Mutex::new(HubState {
                     epoch,
-                    next_lsn: 0,
                     fenced: false,
                     slots: Vec::new(),
                     next_id: 1,
                 }),
+                mirror,
                 changed: Condvar::new(),
                 opts,
                 stopping: AtomicBool::new(false),
@@ -191,31 +202,32 @@ impl PrimaryHub {
 
     /// This primary's replication epoch.
     pub fn epoch(&self) -> u64 {
-        self.shared.mirror.lock().expect("mirror poisoned").epoch
+        self.shared.state.lock().expect("hub poisoned").epoch
     }
 
     /// LSN the next published record must carry.
     pub fn next_lsn(&self) -> u64 {
-        self.shared.mirror.lock().expect("mirror poisoned").next_lsn
+        self.shared.mirror.lock().next_lsn()
+    }
+
+    /// The mirror this hub replays into.
+    pub fn mirror(&self) -> &SharedMirror {
+        &self.shared.mirror
     }
 
     /// A copy of the mirror database — the replicated state after every
     /// published record. Bit-identical to what a fully caught-up follower
     /// holds.
     pub fn mirror_db(&self) -> Database {
-        self.shared
-            .mirror
-            .lock()
-            .expect("mirror poisoned")
-            .db
-            .clone()
+        self.shared.mirror.lock().db().clone()
     }
 
     /// Publish one committed bulk's redo record: advance the mirror and fan
     /// the encoded record out to every live follower. Called by the engine's
-    /// group-commit point with `record.lsn == self.next_lsn()`; panics on a
-    /// gap, because a mirror that silently skipped a record would ship
-    /// corrupt snapshots forever after.
+    /// commit stage with `record.lsn == self.next_lsn()`; panics on a gap
+    /// (leaving the hub and its mirror untouched), because a mirror that
+    /// silently skipped a record would ship corrupt snapshots forever after.
+    /// Copies the record; see [`publish_owned`](Self::publish_owned).
     ///
     /// Never blocks on a follower: one that has left more than
     /// `queue_depth` published records unacknowledged is shed (it resyncs
@@ -224,31 +236,40 @@ impl PrimaryHub {
     /// the sender thread managed to push into the socket, so the decision
     /// does not depend on kernel buffer sizes or scheduling.
     pub fn publish(&self, record: &BulkLogRecord) {
-        let mut m = self.shared.mirror.lock().expect("mirror poisoned");
-        assert_eq!(
-            record.lsn, m.next_lsn,
-            "published record must continue the mirror's LSN sequence"
-        );
-        let mut write_set = record.write_set.clone();
-        write_set.merge_into(&mut m.db);
-        m.db.apply_insert_buffers();
-        m.next_lsn += 1;
+        self.publish_owned(record.clone());
+    }
+
+    /// [`publish`](Self::publish) by value: the record is replayed into the
+    /// mirror without a copy.
+    pub fn publish_owned(&self, record: BulkLogRecord) {
+        let h = self.shared.state.lock().expect("hub poisoned");
+        let lsn = record.lsn;
+        // Encode before the replay consumes the record.
+        let frame = (!h.slots.is_empty()).then(|| {
+            Arc::new(encode_repl(&ReplMsg::LogRecord {
+                epoch: h.epoch,
+                commit_nanos: unix_nanos(),
+                payload: record.encode(),
+            }))
+        });
+        if let Err(expected) = self.shared.mirror.apply_next(record) {
+            drop(h);
+            panic!(
+                "published record must continue the mirror's LSN sequence: \
+                 got {lsn}, expected {expected}"
+            );
+        }
         self.shared
             .counters
             .records_published
             .fetch_add(1, Ordering::Relaxed);
-        if !m.slots.is_empty() {
-            let frame = Arc::new(encode_repl(&ReplMsg::LogRecord {
-                epoch: m.epoch,
-                commit_nanos: unix_nanos(),
-                payload: record.encode(),
-            }));
+        if let Some(frame) = frame {
+            let next_lsn = lsn + 1;
             let depth = self.shared.opts.queue_depth as u64;
-            for slot in &m.slots {
+            for slot in &h.slots {
                 // Records this follower has neither acked nor received in
                 // its snapshot, this one included.
-                let unacked = m
-                    .next_lsn
+                let unacked = next_lsn
                     .saturating_sub(slot.acked.load(Ordering::Acquire).max(slot.synced_from));
                 let sent = !slot.gap.load(Ordering::Acquire)
                     && unacked <= depth
@@ -271,7 +292,7 @@ impl PrimaryHub {
                 }
             }
         }
-        drop(m);
+        drop(h);
         self.shared.changed.notify_all();
     }
 
@@ -338,17 +359,17 @@ impl PrimaryHub {
     /// reach nobody.
     pub fn retire(&self) -> bool {
         let (epoch, best) = {
-            let mut m = self.shared.mirror.lock().expect("mirror poisoned");
-            m.fenced = true;
-            let best = m
+            let mut h = self.shared.state.lock().expect("hub poisoned");
+            h.fenced = true;
+            let best = h
                 .slots
                 .iter()
                 .max_by_key(|s| s.acked.load(Ordering::Acquire))
                 .map(|s| s.tx.clone());
-            (m.epoch, best)
+            (h.epoch, best)
         };
         match best {
-            // Blocking send, outside the mirror lock (the session needs that
+            // Blocking send, outside the hub lock (the session needs that
             // lock to drain a gap): the queue may be momentarily full, and
             // retire (unlike publish) is allowed to wait it out.
             Some(tx) => tx.send(Item::Promote(epoch)).is_ok(),
@@ -363,18 +384,18 @@ impl PrimaryHub {
     /// conversion truncates the log), so log and stream keep numbering the
     /// same records identically.
     pub fn rotate_epoch(&self) {
-        let mut m = self.shared.mirror.lock().expect("mirror poisoned");
-        m.epoch = fresh_epoch().max(m.epoch + 1);
-        m.next_lsn = 0;
-        for slot in &m.slots {
+        let mut h = self.shared.state.lock().expect("hub poisoned");
+        h.epoch = fresh_epoch().max(h.epoch + 1);
+        self.shared.mirror.restart_numbering();
+        for slot in &h.slots {
             slot.gap.store(true, Ordering::Release);
         }
     }
 
     /// Acked applied-LSN watermark of every live follower (unordered).
     pub fn follower_acks(&self) -> Vec<u64> {
-        let m = self.shared.mirror.lock().expect("mirror poisoned");
-        m.slots
+        let h = self.shared.state.lock().expect("hub poisoned");
+        h.slots
             .iter()
             .map(|s| s.acked.load(Ordering::Acquire))
             .collect()
@@ -385,9 +406,9 @@ impl PrimaryHub {
     /// unsubscribe while waiting stop counting.
     pub fn wait_acked(&self, lsn: u64, timeout: Duration) -> bool {
         let deadline = std::time::Instant::now() + timeout;
-        let mut m = self.shared.mirror.lock().expect("mirror poisoned");
+        let mut h = self.shared.state.lock().expect("hub poisoned");
         loop {
-            if m.slots
+            if h.slots
                 .iter()
                 .all(|s| s.acked.load(Ordering::Acquire) >= lsn)
             {
@@ -400,17 +421,17 @@ impl PrimaryHub {
             let (guard, _) = self
                 .shared
                 .changed
-                .wait_timeout(m, deadline - now)
-                .expect("mirror poisoned");
-            m = guard;
+                .wait_timeout(h, deadline - now)
+                .expect("hub poisoned");
+            h = guard;
         }
     }
 
     /// Snapshot the activity counters.
     pub fn stats(&self) -> PrimaryStats {
         let (followers, fenced) = {
-            let m = self.shared.mirror.lock().expect("mirror poisoned");
-            (m.slots.len() as u64, m.fenced)
+            let h = self.shared.state.lock().expect("hub poisoned");
+            (h.slots.len() as u64, h.fenced)
         };
         PrimaryStats {
             followers,
@@ -462,7 +483,7 @@ fn encode_snapshot(db: &Database) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Under the mirror lock: register a follower slot and decide how to bring
+/// Under the hub lock: register a follower slot and decide how to bring
 /// it up to date. Returns the slot's id, the record receiver, the gap/acked
 /// flags, and the snapshot to send first (if any).
 #[allow(clippy::type_complexity)]
@@ -480,35 +501,35 @@ fn register_follower(
     ),
     io::Error,
 > {
-    let mut m = shared.mirror.lock().expect("mirror poisoned");
-    if sub_epoch > m.epoch {
+    let mut h = shared.state.lock().expect("hub poisoned");
+    if sub_epoch > h.epoch {
         // The follower outlived us into a newer epoch: we are the stale
         // primary. Fence ourselves and refuse — serving it would rewind it.
-        m.fenced = true;
+        h.fenced = true;
         shared.counters.fencings.fetch_add(1, Ordering::Relaxed);
         return Err(io::Error::other(
             "follower epoch is newer than ours: stale primary fenced",
         ));
     }
-    if m.fenced {
+    if h.fenced {
         return Err(io::Error::other("primary is fenced; not serving"));
     }
     let (tx, rx) = std::sync::mpsc::sync_channel::<Item>(shared.opts.queue_depth);
     let gap = Arc::new(AtomicBool::new(false));
     let acked = Arc::new(AtomicU64::new(sub_applied));
-    let id = m.next_id;
-    m.next_id += 1;
+    let id = h.next_id;
+    h.next_id += 1;
     // Caught-up fast path: same epoch, applied everything we have — the log
     // tail streams from here with no snapshot. Anything else bootstraps
     // from a snapshot cut *now*, under the same lock that registers the
     // queue, so no record can fall between snapshot and subscription.
-    let snapshot = if sub_epoch == m.epoch && sub_applied == m.next_lsn {
-        None
-    } else {
-        Some((m.epoch, m.next_lsn, encode_snapshot(&m.db)))
+    let (synced_from, snapshot) = {
+        let m = shared.mirror.lock();
+        let snapshot = (sub_epoch != h.epoch || sub_applied != m.next_lsn())
+            .then(|| (h.epoch, m.next_lsn(), encode_snapshot(m.db())));
+        (m.next_lsn(), snapshot)
     };
-    let synced_from = m.next_lsn;
-    m.slots.push(FollowerSlot {
+    h.slots.push(FollowerSlot {
         id,
         tx,
         gap: Arc::clone(&gap),
@@ -519,9 +540,9 @@ fn register_follower(
 }
 
 fn unregister_follower(shared: &HubShared, id: u64) {
-    let mut m = shared.mirror.lock().expect("mirror poisoned");
-    m.slots.retain(|s| s.id != id);
-    drop(m);
+    let mut h = shared.state.lock().expect("hub poisoned");
+    h.slots.retain(|s| s.id != id);
+    drop(h);
     shared.changed.notify_all();
 }
 
@@ -559,7 +580,7 @@ fn send_snapshot(
 /// One follower session: handshake, initial sync, then stream records until
 /// the follower disconnects, the hub stops, or a handoff promotes it.
 /// Overflow shedding is handled here — on a gap, the queued prefix is
-/// discarded and a fresh snapshot (cut under the mirror lock) replaces it.
+/// discarded and a fresh snapshot (cut under the hub lock) replaces it.
 fn session_loop(
     shared: &Arc<HubShared>,
     mut read_half: Box<dyn Duplex>,
@@ -637,18 +658,18 @@ fn session_loop(
         }
         if gap.load(Ordering::Acquire) {
             // Shed: the publish path dropped records for us. Discard the
-            // stale queued prefix and cut a fresh snapshot under the mirror
+            // stale queued prefix and cut a fresh snapshot under the hub
             // lock; clearing the gap under the same lock means no record
             // published after the cut can be missed.
             let (epoch, next_lsn, bytes) = {
-                let mut guard = shared.mirror.lock().expect("mirror poisoned");
-                let m = &mut *guard;
+                let mut h = shared.state.lock().expect("hub poisoned");
+                let m = shared.mirror.lock();
                 while rx.try_recv().is_ok() {}
                 gap.store(false, Ordering::Release);
-                if let Some(slot) = m.slots.iter_mut().find(|s| s.id == id) {
-                    slot.synced_from = m.next_lsn;
+                if let Some(slot) = h.slots.iter_mut().find(|s| s.id == id) {
+                    slot.synced_from = m.next_lsn();
                 }
-                (m.epoch, m.next_lsn, encode_snapshot(&m.db))
+                (h.epoch, m.next_lsn(), encode_snapshot(m.db()))
             };
             shared.counters.resyncs.fetch_add(1, Ordering::Relaxed);
             pending_snapshot = Some((epoch, next_lsn, bytes));

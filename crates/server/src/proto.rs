@@ -257,6 +257,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             w.put_u64(report.repl_followers);
             w.put_u64(report.repl_next_lsn);
             w.put_u64(report.repl_min_acked);
+            w.put_u64(report.publish_failures);
             w.put_u64(report.faults_injected);
             w.put_str(report.last_fault.as_deref().unwrap_or(""));
         }
@@ -343,6 +344,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
             let repl_followers = r.get_u64()?;
             let repl_next_lsn = r.get_u64()?;
             let repl_min_acked = r.get_u64()?;
+            let publish_failures = r.get_u64()?;
             let faults_injected = r.get_u64()?;
             let last_fault = match r.get_str()? {
                 s if s.is_empty() => None,
@@ -356,6 +358,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
                     repl_followers,
                     repl_next_lsn,
                     repl_min_acked,
+                    publish_failures,
                     faults_injected,
                     last_fault,
                 },
@@ -668,6 +671,7 @@ mod tests {
                 repl_followers: 2,
                 repl_next_lsn: 100,
                 repl_min_acked: 97,
+                publish_failures: 1,
                 faults_injected: 12,
                 last_fault: Some("wal/fsync-error#12".into()),
             },
